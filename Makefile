@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check cover lint fuzz-smoke bench bench-full bench-gate bench-baseline bench-load experiments profile serve api clean
+.PHONY: all build vet fmt-check test race bench-check check cover lint fuzz-smoke bench bench-full bench-gate bench-baseline bench-load experiments profile serve api clean
 
 # Seed-baseline total coverage; CI fails below this (see ci.yml).
 COVER_FLOOR ?= 85.0
@@ -28,7 +28,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check race
+# bench/ is a module of its own, so `go build ./...` at the root never
+# compiles it: vet and test it explicitly, or a facade change could break
+# the benchmark without any failure here.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+check: build vet fmt-check race bench-check
 
 # Regenerate the exported-API golden (testdata/api/wexp.txt) after an
 # intentional surface change; TestAPISurfaceGolden diffs against it.

@@ -140,9 +140,9 @@ func RandomBipartiteRegular(s, n, d int, r *RNG) (*Bipartite, error) {
 // --- Expansion measurement --------------------------------------------------
 
 // OrdinaryExpansion computes β(G) exactly: the minimum of |Γ⁻(S)|/|S| over
-// nonempty sets with |S| ≤ α·n, enumerated by cardinality under the
-// default work budget (any n is accepted as long as Σ C(n,k) fits; use
-// OrdinaryExpansionOpts to set the budget explicitly).
+// nonempty sets with |S| ≤ α·n, found by the branch-and-bound search under
+// the default work budget (any n is accepted as long as the search fits;
+// use OrdinaryExpansionWith to set the budget explicitly).
 func OrdinaryExpansion(g *Graph, alpha float64) (ExpansionResult, error) {
 	return expansion.ExactOrdinary(g, alpha)
 }
@@ -154,7 +154,7 @@ func UniqueExpansion(g *Graph, alpha float64) (ExpansionResult, error) {
 
 // WirelessExpansion computes βw(G) exactly under the default work budget:
 // for every S the inner maximum over S' ⊆ S of |Γ¹_S(S')|/|S| is taken,
-// then minimized over S (cost Σ C(n,k)·2^k work units).
+// then minimized over S (each evaluated size-k set costs 2^k work units).
 func WirelessExpansion(g *Graph, alpha float64) (ExpansionResult, error) {
 	return expansion.ExactWireless(g, alpha)
 }
@@ -326,17 +326,6 @@ func ParseRadioModel(spec string) (RadioModel, error) { return radio.ParseModel(
 // transmission totals, and per-round informed-count quantiles.
 type MonteCarloResult = radio.Result
 
-// BroadcastMonteCarlo fans independent seeded broadcast trials of the
-// protocol over a deterministic worker pool and aggregates per-round and
-// per-trial statistics. The adjacency bitset rows are built once and
-// shared by all trials.
-//
-// Deprecated: use BroadcastMonteCarloWith, which takes the cancellation
-// context as an explicit first parameter instead of the opt.Ctx field.
-func BroadcastMonteCarlo(g *Graph, source int, factory ProtocolFactory, trials int, opt MonteCarloOptions) (*MonteCarloResult, error) {
-	return radio.MonteCarlo(g, source, factory, trials, opt)
-}
-
 // FloodProtocol returns the naive everyone-transmits protocol (deadlocks on
 // C⁺).
 func FloodProtocol() Protocol { return radio.Flood{} }
@@ -380,21 +369,6 @@ func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentResult, error) {
 // RunAllExperiments executes the full E1–E14 suite.
 func RunAllExperiments(cfg ExperimentConfig) ([]*ExperimentResult, error) {
 	return experiments.RunAll(cfg)
-}
-
-// RunExperiments executes the selected experiments (all of them when ids is
-// empty) through the sharded job engine: each experiment's parameter grid
-// is decomposed into deterministic shards, fanned over opt.Workers workers
-// with pre-split RNG streams, and merged in index order — the report's
-// artifacts are bit-identical at every worker count. When opt.OutDir is
-// set, one JSON artifact per experiment plus a checksummed MANIFEST.json
-// are written there; with opt.CheckpointDir and opt.Resume, an interrupted
-// run continues from its completed shards.
-//
-// Deprecated: use RunExperimentsWith, which takes the cancellation
-// context as an explicit first parameter instead of the opt.Ctx field.
-func RunExperiments(ids []string, cfg ExperimentConfig, opt ExperimentOptions) (*ExperimentRunReport, error) {
-	return runExperiments(ids, cfg, opt)
 }
 
 // ExperimentIDs lists the available experiment ids in index order.

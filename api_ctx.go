@@ -11,10 +11,7 @@ import (
 
 // This file is the context-first facade: every function takes a
 // context.Context as its first parameter and threads it into the engine it
-// drives, superseding any Ctx field carried inside the options value. The
-// pre-context entry points remain available as thin deprecated wrappers
-// (see api.go and api_extra.go) so existing callers keep compiling; new
-// code should use the *With forms or the unified Expansion dispatcher.
+// drives, superseding any Ctx field carried inside the options value.
 
 // RunOpts bundles the run-control knobs shared by every engine in the
 // module — expansion.Options, radio.Options, and experiments.Options all
@@ -70,10 +67,8 @@ var ErrBudget = expansion.ErrBudget
 
 // Expansion is the unified exact solver: it computes the objective obj on
 // g under opt, honouring ctx for cancellation (ctx supersedes opt.Ctx).
-// The default path is the deterministic branch-and-bound search —
-// bit-identical results, witnesses, and search counters at every
-// opt.Workers — while opt.NoPrune and opt.Recompute select the flat
-// enumeration kernels that serve as its oracles.
+// It runs the deterministic branch-and-bound search — bit-identical
+// results, witnesses, and search counters at every opt.Workers.
 func Expansion(ctx context.Context, g *Graph, obj Objective, opt ExpansionOptions) (ExpansionResult, error) {
 	opt.Ctx = ctx
 	return expansion.Exact(g, obj, opt)
@@ -148,15 +143,15 @@ func BroadcastMonteCarloWith(ctx context.Context, g *Graph, source int, factory 
 
 // RunExperimentsWith executes the selected experiments (all of them when
 // ids is empty) through the sharded job engine, honouring ctx (which
-// supersedes opt.Ctx). See RunExperiments for the artifact and
-// checkpoint/resume contract; the report is bit-identical at every
-// opt.Workers.
+// supersedes opt.Ctx): each experiment's parameter grid is decomposed into
+// deterministic shards, fanned over opt.Workers workers with pre-split RNG
+// streams, and merged in index order — the report's artifacts are
+// bit-identical at every worker count. When opt.OutDir is set, one JSON
+// artifact per experiment plus a checksummed MANIFEST.json are written
+// there; with opt.CheckpointDir and opt.Resume, an interrupted run
+// continues from its completed shards.
 func RunExperimentsWith(ctx context.Context, ids []string, cfg ExperimentConfig, opt ExperimentOptions) (*ExperimentRunReport, error) {
 	opt.Ctx = ctx
-	return runExperiments(ids, cfg, opt)
-}
-
-func runExperiments(ids []string, cfg ExperimentConfig, opt ExperimentOptions) (*ExperimentRunReport, error) {
 	specs := experiments.All
 	if len(ids) > 0 {
 		var err error

@@ -37,43 +37,14 @@ func SpokesmanBestImproved(b *Bipartite, trials int, r *RNG) Selection {
 }
 
 // ExpansionOptions configures the exact expansion engine: the α (or MaxK)
-// size cap, the enumeration work budget, the worker-pool width, and the
-// kernel choice (Recompute selects the legacy full-recomputation kernels,
-// the correctness oracle for the default revolving-door incremental
-// ones). See the expansion package's Options for field semantics; results
-// are bit-identical at every pool width and for every kernel.
+// size cap, the search's work budget, and the worker-pool width. See the
+// expansion package's Options for field semantics; results and search
+// counters are bit-identical at every pool width.
 type ExpansionOptions = expansion.Options
 
 // ExpansionBudget is the default work budget (in enumeration units) used
 // by the exact solvers when ExpansionOptions.Budget is zero.
 const ExpansionBudget = expansion.DefaultBudget
-
-// OrdinaryExpansionOpts computes β(G) exactly with an explicit work budget
-// and pool width.
-//
-// Deprecated: use OrdinaryExpansionWith, which takes the cancellation
-// context as an explicit first parameter instead of the opt.Ctx field.
-func OrdinaryExpansionOpts(g *Graph, opt ExpansionOptions) (ExpansionResult, error) {
-	return expansion.Exact(g, expansion.ObjOrdinary, opt)
-}
-
-// UniqueExpansionOpts computes βu(G) exactly with an explicit work budget
-// and pool width.
-//
-// Deprecated: use UniqueExpansionWith, which takes the cancellation
-// context as an explicit first parameter instead of the opt.Ctx field.
-func UniqueExpansionOpts(g *Graph, opt ExpansionOptions) (ExpansionResult, error) {
-	return expansion.Exact(g, expansion.ObjUnique, opt)
-}
-
-// WirelessExpansionOpts computes βw(G) exactly with an explicit work
-// budget and pool width (work is Σ C(n,k)·2^k units).
-//
-// Deprecated: use WirelessExpansionWith, which takes the cancellation
-// context as an explicit first parameter instead of the opt.Ctx field.
-func WirelessExpansionOpts(g *Graph, opt ExpansionOptions) (ExpansionResult, error) {
-	return expansion.Exact(g, expansion.ObjWireless, opt)
-}
 
 // ExpansionFeasible reports whether the exact engine would accept an
 // enumeration of sets up to size ⌊α·n⌋ on an n-vertex graph under the
@@ -89,21 +60,6 @@ func ExpansionFeasible(n int, alpha float64, budget uint64) bool {
 // the quantity Lemma 4.4(4) lower-bounds for the core graph.
 func MinBipartiteExpansion(b *Bipartite) (float64, error) {
 	res, err := expansion.MinBipartiteExpansion(b)
-	if err != nil {
-		return 0, err
-	}
-	return res.Value, nil
-}
-
-// MinBipartiteExpansionOpts is MinBipartiteExpansion with an explicit work
-// budget and an optional subset-size cap (opt.MaxK), which makes large S
-// sides affordable.
-//
-// Deprecated: use MinBipartiteExpansionWith, which takes the cancellation
-// context as an explicit first parameter and returns the full witness
-// record rather than the bare value.
-func MinBipartiteExpansionOpts(b *Bipartite, opt ExpansionOptions) (float64, error) {
-	res, err := expansion.MinBipartiteExpansionOpts(b, opt)
 	if err != nil {
 		return 0, err
 	}

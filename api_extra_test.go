@@ -213,7 +213,7 @@ func TestBroadcastMonteCarlo(t *testing.T) {
 		t.Fatalf("protocol = %q", res.Protocol)
 	}
 	// Determinism across calls and worker widths.
-	again, err := BroadcastMonteCarlo(g, 0, factory, 16,
+	again, err := BroadcastMonteCarloWith(context.Background(), g, 0, factory, 16,
 		MonteCarloOptions{RunOpts: RunOpts{Seed: 5, Workers: 3}, MaxRounds: 4000})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -200,103 +199,5 @@ func TestAPISurfaceGolden(t *testing.T) {
 	if got != string(want) {
 		t.Fatalf("exported API surface drifted from %s — review the change, then run `make api`.\n--- got ---\n%s\n--- want ---\n%s",
 			apiGoldenPath, got, want)
-	}
-}
-
-// TestNoDeprecatedFacadeUses is a vet-style check: no non-test source in
-// this repository may call a facade name marked Deprecated — everything
-// in-tree must use the context-first *With replacements. The deprecated
-// wrappers exist only for external callers (root _test.go files keep one
-// call each for coverage, and the declaring files are exempt).
-func TestNoDeprecatedFacadeUses(t *testing.T) {
-	deprecated := deprecatedFacadeNames(t)
-	if len(deprecated) == 0 {
-		t.Fatal("no deprecated facade names found — the migration markers are gone")
-	}
-	fset := token.NewFileSet()
-	var violations []string
-
-	// Root package: a use is a bare identifier (package-level reference).
-	// Selector .Sel positions are skipped — expansion.MinBipartiteExpansionOpts
-	// is an internal-package function that legitimately shares a name.
-	for _, file := range rootSourceFiles(t) {
-		f, err := parser.ParseFile(fset, file, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				ast.Inspect(sel.X, func(m ast.Node) bool { // walk X, skip Sel
-					if id, ok := m.(*ast.Ident); ok {
-						if declFile, dep := deprecated[id.Name]; dep && declFile != file {
-							violations = append(violations, fset.Position(id.Pos()).String()+": "+id.Name)
-						}
-					}
-					return true
-				})
-				return false
-			}
-			if id, ok := n.(*ast.Ident); ok {
-				if declFile, dep := deprecated[id.Name]; dep && declFile != file {
-					violations = append(violations, fset.Position(id.Pos()).String()+": "+id.Name)
-				}
-			}
-			return true
-		})
-	}
-
-	// Everywhere else: a use is wexp.<Name> in any non-test file that
-	// imports the root package.
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case "testdata", "artifacts", ".git":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
-			!strings.Contains(path, string(filepath.Separator)) {
-			return nil
-		}
-		f, perr := parser.ParseFile(fset, path, nil, 0)
-		if perr != nil {
-			return perr
-		}
-		pkgName := ""
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"wexp"` {
-				pkgName = "wexp"
-				if imp.Name != nil {
-					pkgName = imp.Name.Name
-				}
-			}
-		}
-		if pkgName == "" {
-			return nil
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == pkgName {
-				if _, dep := deprecated[sel.Sel.Name]; dep {
-					violations = append(violations, fset.Position(sel.Pos()).String()+": "+pkgName+"."+sel.Sel.Name)
-				}
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) > 0 {
-		t.Fatalf("deprecated facade names used in non-test source (migrate to the *With forms):\n  %s",
-			strings.Join(violations, "\n  "))
 	}
 }

@@ -216,8 +216,8 @@ func TestPublicRunExperimentsEngine(t *testing.T) {
 			t.Fatalf("artifact %s not written: %v", name, err)
 		}
 	}
-	if _, err := RunExperiments([]string{"E99"}, ExperimentConfig{}, ExperimentOptions{}); err == nil {
-		t.Fatal("unknown experiment accepted by RunExperiments")
+	if _, err := RunExperimentsWith(context.Background(), []string{"E99"}, ExperimentConfig{}, ExperimentOptions{}); err == nil {
+		t.Fatal("unknown experiment accepted by RunExperimentsWith")
 	}
 }
 

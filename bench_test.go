@@ -404,8 +404,7 @@ func BenchmarkRadioMonteCarlo(b *testing.B) {
 // expansionBenchRecord is one (solver, n) data point of the perf record
 // emitted as BENCH_expansion.json, giving future PRs a trajectory to beat.
 // AllocsPerOp rides along so cmd/benchgate catches allocation regressions,
-// not just timing; Speedup on incremental rows is recompute-ns ÷
-// incremental-ns for the matching -recompute row.
+// not just timing.
 type expansionBenchRecord struct {
 	Solver      string  `json:"solver"`
 	N           int     `json:"n"`
@@ -416,7 +415,6 @@ type expansionBenchRecord struct {
 	SetsPerOp   int     `json:"sets_per_op"`
 	SetsPerSec  float64 `json:"sets_per_sec"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	Speedup     float64 `json:"speedup,omitempty"`
 
 	// PruneRate is pruned/(sets+pruned) and VisitedFraction is
 	// visited/(sets+pruned), both computed in float64 (Pruned saturates
@@ -436,12 +434,11 @@ type expansionBenchRecord struct {
 	FailureProb float64 `json:"failure_prob,omitempty"`
 }
 
-// BenchmarkExpansionEngine measures the by-cardinality exact engine on
+// BenchmarkExpansionEngine measures the exact branch-and-bound search on
 // seeded random graphs and writes the aggregate record to
-// BENCH_expansion.json: the historical n = 16..32 multi-worker rows, plus
-// single-worker incremental-vs-recompute pairs on both kernels (n = 24
-// uint64, n = 72 bitset) that pin the revolving-door speedup. The record
-// is rewritten only when every configuration ran (e.g. `go test
+// BENCH_expansion.json: the historical n = 16..32 multi-worker rows, the
+// n = 120 search frontier, and the randomized tier on the same instance.
+// The record is rewritten only when every configuration ran (e.g. `go test
 // -bench=ExpansionEngine`), so a filtered run cannot truncate it.
 func BenchmarkExpansionEngine(b *testing.B) {
 	type cfg struct {
@@ -451,41 +448,24 @@ func BenchmarkExpansionEngine(b *testing.B) {
 		p          float64
 		alpha      float64
 		workers    int
-		recompute  bool
-		noprune    bool // pin the flat incremental kernel (else default = branch-and-bound)
 		randomized bool // run the randomized certified tier instead of the exact engine
 	}
-	// The -serial/-recompute pairs pin the revolving-door kernel speedup at
-	// a fixed single-worker workload: n = 24 (α = 0.5, the α of the other
-	// small rows) for the uint64 kernel, and n = 72 at p = 0.08 — the
-	// paper's sparse bounded-degree regime, where O(deg(out)+deg(in))
-	// per-set maintenance is the design point — for the bitset kernel.
 	cfgs := []cfg{
-		{"ordinary", expansion.ObjOrdinary, 16, 0.3, 0.5, 0, false, false, false},
-		{"ordinary", expansion.ObjOrdinary, 20, 0.3, 0.5, 0, false, false, false},
-		{"ordinary", expansion.ObjOrdinary, 24, 0.3, 0.25, 0, false, false, false},
-		{"ordinary", expansion.ObjOrdinary, 32, 0.3, 0.125, 0, false, false, false},
-		{"unique", expansion.ObjUnique, 20, 0.3, 0.5, 0, false, false, false},
-		{"wireless", expansion.ObjWireless, 16, 0.3, 0.25, 0, false, false, false},
-		{"wireless-serial", expansion.ObjWireless, 16, 0.3, 0.25, 1, false, true, false},
-		{"ordinary-serial", expansion.ObjOrdinary, 24, 0.3, 0.5, 1, false, true, false},
-		{"ordinary-serial-recompute", expansion.ObjOrdinary, 24, 0.3, 0.5, 1, true, false, false},
-		{"unique-serial", expansion.ObjUnique, 20, 0.3, 0.5, 1, false, true, false},
-		{"unique-serial-recompute", expansion.ObjUnique, 20, 0.3, 0.5, 1, true, false, false},
-		{"ordinary-big", expansion.ObjOrdinary, 72, 0.08, 4.0 / 72.0, 1, false, true, false},
-		{"ordinary-big-recompute", expansion.ObjOrdinary, 72, 0.08, 4.0 / 72.0, 1, true, false, false},
+		{"ordinary", expansion.ObjOrdinary, 16, 0.3, 0.5, 0, false},
+		{"ordinary", expansion.ObjOrdinary, 20, 0.3, 0.5, 0, false},
+		{"ordinary", expansion.ObjOrdinary, 24, 0.3, 0.25, 0, false},
+		{"ordinary", expansion.ObjOrdinary, 32, 0.3, 0.125, 0, false},
+		{"unique", expansion.ObjUnique, 20, 0.3, 0.5, 0, false},
+		{"wireless", expansion.ObjWireless, 16, 0.3, 0.25, 0, false},
 		// The branch-and-bound frontier row: n = 120 with k ≤ 6 spans a
-		// C(120,6) ≈ 5.4e9-set space that no flat enumeration fits; only
+		// C(120,6) ≈ 5.4e9-set space that no full enumeration fits; only
 		// subtree pruning makes it a benchmarkable op.
-		{"ordinary-bnb-frontier", expansion.ObjOrdinary, 120, 0.08, 6.0 / 120.0, 0, false, false, false},
+		{"ordinary-bnb-frontier", expansion.ObjOrdinary, 120, 0.08, 6.0 / 120.0, 0, false},
 		// The randomized certified tier on the same frontier instance: the
 		// per-op cost of a failure ≤ 1e-9 certificate where exact search is
 		// the alternative, plus the trials/failure_prob identity columns.
-		{"ordinary-randomized-frontier", expansion.ObjOrdinary, 120, 0.08, 6.0 / 120.0, 0, false, false, true},
+		{"ordinary-randomized-frontier", expansion.ObjOrdinary, 120, 0.08, 6.0 / 120.0, 0, true},
 	}
-	// Each incremental row is paired with the row of its recompute oracle
-	// for the speedup column.
-	speedupPairs := map[int]int{7: 8, 9: 10, 11: 12}
 	// Indexed by config, overwritten on every invocation: the harness
 	// re-runs each sub-benchmark while calibrating b.N, and the final
 	// (largest-b.N) invocation is the one worth recording.
@@ -494,7 +474,7 @@ func BenchmarkExpansionEngine(b *testing.B) {
 	for ci, c := range cfgs {
 		b.Run(fmt.Sprintf("%s/n=%d", c.solver, c.n), func(b *testing.B) {
 			g := gen.ErdosRenyi(c.n, c.p, rng.New(uint64(c.n)*1000+7))
-			opt := expansion.Options{RunOpts: runopts.RunOpts{Workers: c.workers}, Alpha: c.alpha, Recompute: c.recompute, NoPrune: c.noprune}
+			opt := expansion.Options{RunOpts: runopts.RunOpts{Workers: c.workers}, Alpha: c.alpha}
 			solve := func() (expansion.Result, error) {
 				if c.randomized {
 					return expansion.Randomized(g, c.obj, expansion.RandOptions{
@@ -549,11 +529,6 @@ func BenchmarkExpansionEngine(b *testing.B) {
 			}
 			ran[ci] = true
 		})
-	}
-	for inc, rec := range speedupPairs {
-		if ran[inc] && ran[rec] && records[inc].NsPerOp > 0 {
-			records[inc].Speedup = records[rec].NsPerOp / records[inc].NsPerOp
-		}
 	}
 	// Rewrite the record only when every configuration ran (a filtered
 	// `-bench` run must not truncate it).

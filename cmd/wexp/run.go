@@ -126,9 +126,9 @@ func run(cfg Config, w io.Writer) error {
 	if maxK < 1 {
 		return fmt.Errorf("α=%g admits no nonempty set on n=%d", cfg.Alpha, g.N())
 	}
-	// Four-tier fallback gate, per quantity: (1) the exact branch-and-bound
+	// Three-tier fallback gate, per quantity: (1) the exact branch-and-bound
 	// engine, which charges the budget as it searches instead of refusing up
-	// front — instances far beyond the flat-enumeration frontier still
+	// front — instances far beyond the full-enumeration frontier still
 	// complete when their search trees prune well; (2) on ErrBudget, the
 	// randomized certified solver, whose answer carries an explicit failure
 	// probability; (3) if the randomized plan is itself over budget (e.g.

@@ -65,7 +65,7 @@
 // ProfilesWith, AlphaSweepWith, BroadcastMonteCarloWith, and
 // RunExperimentsWith. The pre-redesign names (OrdinaryExpansionOpts,
 // UniqueExpansionOpts, WirelessExpansionOpts, MinBipartiteExpansionOpts,
-// BroadcastMonteCarlo, RunExperiments) remain as deprecated thin wrappers.
+// BroadcastMonteCarlo, RunExperiments) were removed.
 // The exported surface is pinned to testdata/api/wexp.txt by
 // TestAPISurfaceGolden; regenerate after an intentional change with
 // `make api`.

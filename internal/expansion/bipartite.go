@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"wexp/internal/bitset"
 	"wexp/internal/graph"
@@ -16,8 +14,8 @@ import (
 // BipartiteResult reports an exact bipartite measurement with its witness
 // subset. ArgSet is a bitmask over the S side, populated when |S| ≤ 64;
 // Witness is populated for every |S|. Pruned/Visited/SubtreesPruned mirror
-// the graph engine's search statistics (zero on the flat and Gray-code
-// paths) and are deterministic at every worker count.
+// the graph engine's search statistics (zero on the Gray-code path) and
+// are deterministic at every worker count.
 type BipartiteResult struct {
 	Value          float64
 	ArgSet         uint64
@@ -37,21 +35,17 @@ func MinBipartiteExpansion(b *graph.Bipartite) (BipartiteResult, error) {
 }
 
 // MinBipartiteExpansionOpts is MinBipartiteExpansion with an explicit work
-// budget, pool width, and optional subset-size cap (Options.MaxK; 0 means
-// all sizes). Three regimes:
+// budget, pool width, context, and optional subset-size cap (Options.MaxK;
+// 0 means all sizes). Two regimes:
 //
-//   - |S| ≤ 62 and the 2^|S| Gray-code walk fits the budget: all subsets
-//     are visited in Gray order, maintaining per-N-vertex coverage counts
-//     incrementally — O(2^|S| · avg-deg) total, one unit of work per set.
-//   - otherwise, by default: the branch-and-bound prefix search, pruning
-//     subtrees whose coverage |Γ(P)| — monotone under adding S-side
-//     vertices — already exceeds the incumbent ratio; aborts with an
-//     ErrBudget-wrapped error only when the search itself exhausts the
-//     budget.
-//   - with Options.Recompute or Options.NoPrune: the flat by-cardinality
-//     enumeration over the chunked worker pool (full-recompute oracle or
-//     revolving-door incremental respectively), refused up front when
-//     Σ C(|S|,k) exceeds the budget.
+//   - |S| ≤ 62, no size cap, and the 2^|S| Gray-code walk fits the budget:
+//     all subsets are visited in Gray order, maintaining per-N-vertex
+//     coverage counts incrementally — O(2^|S| · avg-deg) total, one unit of
+//     work per set; the first minimizer in Gray order is the witness.
+//   - otherwise: the branch-and-bound search of bnb.go, pruning subtrees
+//     whose coverage |Γ(P)| — monotone under adding S-side vertices —
+//     already exceeds the incumbent ratio; aborts with an ErrBudget-wrapped
+//     error only when the search itself exhausts the budget.
 func MinBipartiteExpansionOpts(b *graph.Bipartite, opt Options) (BipartiteResult, error) {
 	s := b.NS()
 	if s == 0 {
@@ -66,130 +60,30 @@ func MinBipartiteExpansionOpts(b *graph.Bipartite, opt Options) (BipartiteResult
 		maxK = s
 	}
 	if s <= 62 && maxK == s && uint64(1)<<uint(s) <= budget {
-		return grayBipartite(b), nil
+		return grayBipartite(opt.Ctx, b)
 	}
-	if !opt.Recompute && !opt.NoPrune {
-		return bipBnb(b, maxK, budget, opt.Workers, opt.Ctx)
+	out, err := newBipSearch(b, maxK, opt, budget).solve()
+	if err != nil {
+		return BipartiteResult{}, err
 	}
-	return bigBipartite(b, maxK, budget, opt.Workers, opt.Recompute, opt.Ctx)
+	res := out.aggregate()
+	if res.Witness == nil {
+		return BipartiteResult{}, fmt.Errorf("expansion: no nonempty subset enumerated")
+	}
+	return bipartiteResult(res), nil
 }
 
-// bipRecomputeRun is the legacy colex chunk walk: a full CoverSet
-// recomputation per set, kept as the oracle for bipIncRun.
-func bipRecomputeRun(b *graph.Bipartite) func(chunk) chunkBest {
-	s := b.NS()
-	return func(c chunk) chunkBest {
-		S := bitset.New(s)
-		combinationInto(S, s, c.k, c.start)
-		members := make([]int, 0, c.k)
-		scratch := make([]int8, b.NN())
-		var setBuf *bitset.Set
-		best := chunkBest{}
-		for i := uint64(0); ; {
-			best.sets++
-			members = S.AppendIndices(members[:0])
-			if num := b.CoverSet(members, scratch); !best.found || num < best.num {
-				best.found = true
-				best.num = num
-				if setBuf == nil {
-					setBuf = bitset.New(s)
-				}
-				setBuf.Copy(S)
-				best.setBig = setBuf
-			}
-			if i++; i >= c.count {
-				return best
-			}
-			if !S.NextCombination() {
-				return best
-			}
-		}
-	}
+// bipartiteResult carries a search Result's answer and counters into a
+// BipartiteResult.
+func bipartiteResult(res Result) BipartiteResult {
+	return BipartiteResult{Value: res.Value, ArgSet: res.ArgSet, Witness: res.Witness, Sets: res.Sets,
+		Pruned: res.Pruned, Visited: res.Visited, SubtreesPruned: res.SubtreesPruned}
 }
 
-// bipIncRun is the revolving-door incremental kernel: counts[v] is the
-// number of chosen S-side vertices adjacent to N-side vertex v, and the
-// covered total |Γ(S')| moves only along the two swapped vertices' rows.
-func bipIncRun(b *graph.Bipartite) func(chunk) chunkBest {
-	s := b.NS()
-	var pool sync.Pool
-	pool.New = func() any {
-		return &incArena{
-			rd:   &bitset.RevolvingDoor{},
-			outs: make([]int, swapBatch),
-			ins:  make([]int, swapBatch),
-			cnt:  make([]int32, b.NN()),
-			S:    bitset.New(s),
-		}
-	}
-	return func(c chunk) chunkBest {
-		ar := pool.Get().(*incArena)
-		defer pool.Put(ar)
-		rd, cnt, S := ar.rd, ar.cnt, ar.S
-		rd.Reset(s, c.k, c.start)
-		rd.FillSet(S)
-		clear(cnt)
-		covered := 0
-		for _, u := range rd.Members() {
-			for _, v := range b.NeighborsOfS(u) {
-				if cnt[v] == 0 {
-					covered++
-				}
-				cnt[v]++
-			}
-		}
-		improve := func(best *chunkBest, num int) {
-			best.found = true
-			best.num = num
-			if ar.setBuf == nil {
-				ar.setBuf = bitset.New(s)
-			}
-			ar.setBuf.Copy(S)
-			best.setBig = ar.setBuf
-		}
-		best := chunkBest{sets: 1}
-		improve(&best, covered)
-		for done := uint64(1); done < c.count; {
-			want := c.count - done
-			if want > swapBatch {
-				want = swapBatch
-			}
-			m := rd.NextBatch(ar.outs[:want], ar.ins[:want])
-			if m == 0 {
-				break
-			}
-			for i := 0; i < m; i++ {
-				out, in := ar.outs[i], ar.ins[i]
-				for _, v := range b.NeighborsOfS(out) {
-					cnt[v]--
-					if cnt[v] == 0 {
-						covered--
-					}
-				}
-				for _, v := range b.NeighborsOfS(in) {
-					if cnt[v] == 0 {
-						covered++
-					}
-					cnt[v]++
-				}
-				S.Remove(out)
-				S.Add(in)
-				if covered < best.num || (covered == best.num && S.Compare(best.setBig) < 0) {
-					improve(&best, covered)
-				}
-			}
-			done += uint64(m)
-			best.sets += m
-		}
-		if best.setBig != nil {
-			ar.setBuf = nil
-		}
-		return best
-	}
-}
-
-// grayBipartite is the legacy incremental Gray-code walk (|S| ≤ 62).
-func grayBipartite(b *graph.Bipartite) BipartiteResult {
+// grayBipartite is the incremental Gray-code walk over all nonempty
+// subsets of the S side (|S| ≤ 62). It looks at ctx on its first step and
+// every 2^16 steps after.
+func grayBipartite(ctx context.Context, b *graph.Bipartite) (BipartiteResult, error) {
 	s := b.NS()
 	counts := make([]int32, b.NN())
 	inSet := make([]bool, s)
@@ -199,6 +93,9 @@ func grayBipartite(b *graph.Bipartite) BipartiteResult {
 	best := BipartiteResult{Value: math.Inf(1)}
 	total := uint64(1) << uint(s)
 	for i := uint64(1); i < total; i++ {
+		if i%(1<<16) == 1 && ctx != nil && ctx.Err() != nil {
+			return BipartiteResult{}, ctx.Err()
+		}
 		flip := bits.TrailingZeros64(i)
 		adding := !inSet[flip]
 		inSet[flip] = adding
@@ -231,116 +128,49 @@ func grayBipartite(b *graph.Bipartite) BipartiteResult {
 		}
 	}
 	best.Witness = fromMask(s, best.ArgSet)
-	return best
+	return best, nil
 }
 
-// bigBipartite enumerates subsets of the S side by cardinality over the
-// chunked pool, with the same deterministic smallest-witness merge as the
-// graph engine. The default kernel walks each chunk in revolving-door
-// order with an incrementally maintained N-side coverage-count array —
-// O(deg(out)+deg(in)) per set; the colex recompute walk survives behind
-// recompute as the correctness oracle. Both produce identical chunk
-// winners: (min covered count, numerically smallest witness).
-func bigBipartite(b *graph.Bipartite, maxK int, budget uint64, workers int, recompute bool, ctx context.Context) (BipartiteResult, error) {
+// bipSearch is the bipartite problem of the search driver (bnb.go): the
+// tree branches over the S side in global-ratio mode, the bound is the
+// prefix coverage |Γ(P)| — monotone under adding S-side vertices, exact on
+// prefixes — and the leaves keep the N-side coverage counts along
+// revolving-door swaps.
+type bipSearch struct {
+	*bnbEngine
+	b *graph.Bipartite
+}
+
+func newBipSearch(b *graph.Bipartite, maxK int, opt Options, budget uint64) *bipSearch {
 	s := b.NS()
-	work := enumWork(s, maxK, ObjOrdinary) // one unit per set
-	if work > budget {
-		return BipartiteResult{}, fmt.Errorf("expansion: bipartite enumeration on |S|=%d (|S'| ≤ %d) needs %d work units, budget is %d; raise Options.Budget or set Options.MaxK",
-			s, maxK, work, budget)
-	}
-	if workers <= 0 {
-		workers = poolWidth()
-	}
-	chunks := makeChunks(s, maxK, ObjOrdinary, work, workers)
-	run := bipIncRun(b)
-	if recompute {
-		run = bipRecomputeRun(b)
-	}
-	results, err := runPool(ctx, chunks, workers, run)
-	if err != nil {
-		return BipartiteResult{}, err
-	}
-	res := BipartiteResult{Value: math.Inf(1)}
-	var best *chunkBest
-	bestK := 0
-	for i := range results {
-		r := &results[i]
-		res.Sets += r.sets
-		if !r.found {
-			continue
-		}
-		k := chunks[i].k
-		if best == nil ||
-			int64(r.num)*int64(bestK) < int64(best.num)*int64(k) ||
-			(int64(r.num)*int64(bestK) == int64(best.num)*int64(k) && r.setBig.Compare(best.setBig) < 0) {
-			best = r
-			bestK = k
+	e := &bipSearch{b: b}
+	e.bnbEngine = newBnbEngine(s, maxK, false, budget, opt.Workers, opt.Ctx, e)
+	e.what = fmt.Sprintf("bipartite branch-and-bound on |S|=%d (|S'| ≤ %d)", s, maxK)
+	e.hint = "raise Options.Budget or set Options.MaxK"
+	e.prefixBound = true
+	e.pool.New = func() any {
+		return &bnbArena{
+			rd:   &bitset.RevolvingDoor{},
+			outs: make([]int, swapBatch),
+			ins:  make([]int, swapBatch),
+			cnt:  make([]int32, b.NN()),
+			nbr:  bitset.New(b.NN()),
+			S:    bitset.New(s),
 		}
 	}
-	if best == nil {
-		return res, fmt.Errorf("expansion: no nonempty subset enumerated")
-	}
-	res.Value = float64(best.num) / float64(bestK)
-	res.Witness = best.setBig
-	if s <= 64 {
-		res.ArgSet = toMask(best.setBig)
-	}
-	return res, nil
-}
-
-// bipArena is the pooled per-worker scratch of the bipartite search.
-type bipArena struct {
-	rd    *bitset.RevolvingDoor
-	heap  nodeHeap
-	outs  []int
-	ins   []int
-	cnt   []int32
-	cover *bitset.Set
-	S     *bitset.Set
-}
-
-// bipEngine is the bipartite instantiation of the branch-and-bound search:
-// same deterministic subproblem partition and best-first node order as the
-// graph engine, with the coverage count |Γ(P)| — monotone under adding
-// S-side vertices — as the (exact-on-prefixes) lower bound.
-type bipEngine struct {
-	b      *graph.Bipartite
-	s      int
-	maxK   int
-	budget uint64
-	ctx    context.Context
-	meter  workMeter
-
-	// Deterministic global-ratio seed incumbent (seedK = 0 = none).
-	seedNum  int
-	seedK    int
-	seedSets int
-
-	pool sync.Pool // *bipArena
-}
-
-func (e *bipEngine) budgetErr() error {
-	return fmt.Errorf("expansion: bipartite branch-and-bound on |S|=%d (|S'| ≤ %d): %w (budget %d); raise Options.Budget or set Options.MaxK",
-		e.s, e.maxK, ErrBudget, e.budget)
-}
-
-func (e *bipEngine) prunable(bound, k int, localFound bool, localNum int) bool {
-	if localFound && bound > localNum {
-		return true
-	}
-	return e.seedK != 0 && int64(bound)*int64(e.seedK) > int64(e.seedNum)*int64(k)
+	return e
 }
 
 // seedPass evaluates the prefixes of the degree-ascending S-side order —
 // the cheapest deterministic guess at low-coverage subsets — to give every
 // subproblem an incumbent before the search starts.
-func (e *bipEngine) seedPass() error {
-	order := make([]int, e.s)
+func (e *bipSearch) seedPass() error {
+	order := make([]int, e.n)
 	for u := range order {
 		order[u] = u
 	}
 	sort.Slice(order, func(i, j int) bool {
-		di, dj := len(e.b.NeighborsOfS(order[i])), len(e.b.NeighborsOfS(order[j]))
+		di, dj := e.b.DegS(order[i]), e.b.DegS(order[j])
 		return di < dj || (di == dj && order[i] < order[j])
 	})
 	cnt := make([]int32, e.b.NN())
@@ -355,18 +185,15 @@ func (e *bipEngine) seedPass() error {
 			}
 			cnt[v]++
 		}
-		e.seedSets++
-		if e.seedK == 0 || int64(covered)*int64(e.seedK) < int64(e.seedNum)*int64(k) {
-			e.seedNum, e.seedK = covered, k
-		}
+		e.recordSeed(covered, k)
 	}
 	return nil
 }
 
 // bound returns |Γ(P)| — every completion of the prefix covers at least
 // what the prefix already covers.
-func (e *bipEngine) bound(ar *bipArena, members []int32) int {
-	cover := ar.cover
+func (e *bipSearch) bound(ar *bnbArena, members []int32, t, k, r int) int {
+	cover := ar.nbr
 	cover.Clear()
 	for _, u := range members {
 		for _, v := range e.b.NeighborsOfS(int(u)) {
@@ -376,69 +203,12 @@ func (e *bipEngine) bound(ar *bipArena, members []int32) int {
 	return cover.Count()
 }
 
-func (e *bipEngine) runSub(sp subproblem, ar *bipArena) (chunkBest, error) {
-	best := chunkBest{}
-	k := sp.k
-	h := ar.heap[:0]
-	defer func() { ar.heap = h[:0] }()
-	seq := int32(0)
-	push := func(members []int32, t, r, bound int) {
-		if e.prunable(bound, k, best.found, best.num) {
-			best.pruned = addSat64(best.pruned, satInt64(binom(e.s-t, r)))
-			best.subtrees++
-			return
-		}
-		h.push(bnbNode{bound: int32(bound), seq: seq, t: int32(t), r: int32(r), members: members})
-		seq++
-	}
-	root := make([]int32, 0, bits.OnesCount64(sp.prefix))
-	for rest := sp.prefix; rest != 0; rest &= rest - 1 {
-		root = append(root, int32(bits.TrailingZeros64(rest)))
-	}
-	push(root, sp.depth, k-len(root), e.bound(ar, root))
-	for len(h) > 0 {
-		if e.ctx != nil && e.ctx.Err() != nil {
-			return best, e.ctx.Err()
-		}
-		if e.meter.blown.Load() {
-			return best, e.budgetErr()
-		}
-		nd := h.pop()
-		if e.prunable(int(nd.bound), k, best.found, best.num) {
-			best.pruned = addSat64(best.pruned, satInt64(binom(e.s-int(nd.t), int(nd.r))))
-			best.subtrees++
-			for i := range h {
-				best.pruned = addSat64(best.pruned, satInt64(binom(e.s-int(h[i].t), int(h[i].r))))
-				best.subtrees++
-			}
-			h = h[:0]
-			break
-		}
-		if !e.meter.charge(1) {
-			return best, e.budgetErr()
-		}
-		best.visited++
-		t, r := int(nd.t), int(nd.r)
-		if r == 0 || binom(e.s-t, r) <= leafCap {
-			if err := e.leaf(&best, ar, nd.members, t, r); err != nil {
-				return best, err
-			}
-			continue
-		}
-		// Excluding t leaves the prefix — and its bound — unchanged.
-		push(nd.members, t+1, r, int(nd.bound))
-		inc := make([]int32, len(nd.members)+1)
-		copy(inc, nd.members)
-		inc[len(nd.members)] = int32(t)
-		push(inc, t+1, r-1, e.bound(ar, inc))
-	}
-	return best, nil
-}
-
 // leaf enumerates every completion in revolving-door order over the tail,
-// with the prefix coverage preloaded into the count array.
-func (e *bipEngine) leaf(best *chunkBest, ar *bipArena, members []int32, t, r int) error {
-	m := e.s - t
+// with the prefix coverage preloaded into the count array: counts[v] is
+// the number of chosen S-side vertices adjacent to N-side vertex v, and
+// the covered total |Γ(S')| moves only along the swapped vertices' rows.
+func (e *bipSearch) leaf(best *chunkBest, ar *bnbArena, members []int32, t, k, r int) error {
+	m := e.n - t
 	count := binom(m, r)
 	if !e.meter.charge(count) {
 		return e.budgetErr()
@@ -471,7 +241,7 @@ func (e *bipEngine) leaf(best *chunkBest, ar *bipArena, members []int32, t, r in
 			best.found = true
 			best.num = covered
 			if best.setBig == nil {
-				best.setBig = bitset.New(e.s)
+				best.setBig = bitset.New(e.n)
 			}
 			best.setBig.Copy(S)
 		}
@@ -511,120 +281,6 @@ func (e *bipEngine) leaf(best *chunkBest, ar *bipArena, members []int32, t, r in
 	return nil
 }
 
-// bipBnb is the bipartite branch-and-bound driver: seed pass, the same
-// deterministic subproblem partition as the graph engine, worker pool,
-// index-order ratio merge.
-func bipBnb(b *graph.Bipartite, maxK int, budget uint64, workers int, ctx context.Context) (BipartiteResult, error) {
-	e := &bipEngine{b: b, s: b.NS(), maxK: maxK, budget: budget, ctx: ctx}
-	e.meter.budget = budget
-	e.pool.New = func() any {
-		return &bipArena{
-			rd:    &bitset.RevolvingDoor{},
-			outs:  make([]int, swapBatch),
-			ins:   make([]int, swapBatch),
-			cnt:   make([]int32, b.NN()),
-			cover: bitset.New(b.NN()),
-			S:     bitset.New(e.s),
-		}
-	}
-	if err := e.seedPass(); err != nil {
-		return BipartiteResult{}, err
-	}
-	subs := bnbSubproblems(e.s, maxK)
-	if workers <= 0 {
-		workers = poolWidth()
-	}
-	if workers > len(subs) {
-		workers = len(subs)
-	}
-	results := make([]chunkBest, len(subs))
-	var (
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		failed.Store(true)
-	}
-	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
-	runOne := func(i int) {
-		ar := e.pool.Get().(*bipArena)
-		best, err := e.runSub(subs[i], ar)
-		e.pool.Put(ar)
-		if err != nil {
-			fail(err)
-			return
-		}
-		results[i] = best
-	}
-	if workers <= 1 {
-		for i := range subs {
-			if cancelled() || failed.Load() {
-				break
-			}
-			runOne(i)
-		}
-	} else {
-		var cursor atomic.Int64
-		cursor.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !failed.Load() && !cancelled() {
-					i := int(cursor.Add(1))
-					if i >= len(subs) {
-						return
-					}
-					runOne(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if cancelled() {
-		return BipartiteResult{}, ctx.Err()
-	}
-	if failed.Load() {
-		return BipartiteResult{}, firstErr
-	}
-	res := BipartiteResult{Value: math.Inf(1), Sets: e.seedSets}
-	var best *chunkBest
-	bestK := 0
-	for i := range results {
-		r := &results[i]
-		res.Sets += r.sets
-		res.Pruned = addSat64(res.Pruned, r.pruned)
-		res.Visited += r.visited
-		res.SubtreesPruned += r.subtrees
-		if !r.found {
-			continue
-		}
-		k := subs[i].k
-		if best == nil ||
-			int64(r.num)*int64(bestK) < int64(best.num)*int64(k) ||
-			(int64(r.num)*int64(bestK) == int64(best.num)*int64(k) && r.setBig.Compare(best.setBig) < 0) {
-			best = r
-			bestK = k
-		}
-	}
-	if best == nil {
-		return res, fmt.Errorf("expansion: no nonempty subset enumerated")
-	}
-	res.Value = float64(best.num) / float64(bestK)
-	res.Witness = best.setBig
-	if e.s <= 64 {
-		res.ArgSet = toMask(best.setBig)
-	}
-	return res, nil
-}
-
 // SizeProfile is the per-size expansion profile of a graph: Profile[k]
 // (1-indexed by set size) is the minimum objective ratio over sets of size
 // exactly k. ArgSets holds uint64 witnesses (n ≤ 64 only); Witnesses holds
@@ -657,15 +313,15 @@ func (p *SizeProfile) Beta() float64 {
 
 // EdgeExpansion computes the exact edge expansion (Cheeger constant)
 // h(G) = min over 0 < |S| ≤ n/2 of |e(S, S̄)| / |S|, under the default
-// work budget, via the engine's by-cardinality enumeration (ObjEdge). Used
+// work budget, via the engine's branch-and-bound search (ObjEdge). Used
 // to sanity-check the spectral machinery: for d-regular graphs the
 // discrete Cheeger inequality gives (d−λ2)/2 ≤ h(G) ≤ sqrt(2d(d−λ2)).
 func EdgeExpansion(g *graph.Graph) (BipartiteResult, error) {
 	return EdgeExpansionOpts(g, Options{})
 }
 
-// EdgeExpansionOpts is EdgeExpansion with an explicit work budget and pool
-// width.
+// EdgeExpansionOpts is EdgeExpansion with an explicit work budget, pool
+// width and context; the result carries the search counters of Exact.
 func EdgeExpansionOpts(g *graph.Graph, opt Options) (BipartiteResult, error) {
 	n := g.N()
 	if n < 2 {
@@ -677,7 +333,7 @@ func EdgeExpansionOpts(g *graph.Graph, opt Options) (BipartiteResult, error) {
 	if err != nil {
 		return BipartiteResult{}, err
 	}
-	return BipartiteResult{Value: res.Value, ArgSet: res.ArgSet, Witness: res.Witness, Sets: res.Sets}, nil
+	return bipartiteResult(res), nil
 }
 
 // CheegerBounds returns the discrete Cheeger bracket

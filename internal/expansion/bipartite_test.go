@@ -84,40 +84,35 @@ func TestMinBipartiteExpansionValidation(t *testing.T) {
 }
 
 func TestMinBipartiteExpansionBigPathMatchesGray(t *testing.T) {
-	// Forcing the by-cardinality path (via a budget below 2^|S| but above
-	// the Σ C(|S|,k) cost... easiest: MaxK = |S| with the gray path
-	// disqualified by a tight budget) must reproduce the Gray-code result.
+	// A budget of 2^|S| − 1 disqualifies the Gray-code walk and routes the
+	// full-size query to the branch-and-bound search, which must reproduce
+	// the Gray-code value. The search also pays for its seed pass and node
+	// visits, so it fits that budget only where pruning saves more than
+	// those cost: at |S| = 16 on these instances, not at |S| = 8.
 	r := rng.New(5)
 	for trial := 0; trial < 10; trial++ {
-		b := gen.RandomBipartite(8, 12, 0.3, r)
+		b := gen.RandomBipartite(16, 24, 0.3, r)
 		gray, err := MinBipartiteExpansion(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 2^8 = 256 > 255 ≥ Σ C(8,k) − 1... the subset count is 255, so a
-		// budget of 255 forces the big path while still covering the flat
-		// work (NoPrune keeps the full enumeration).
-		big, err := MinBipartiteExpansionOpts(b, Options{RunOpts: runopts.RunOpts{Budget: 255}, NoPrune: true})
+		big, err := MinBipartiteExpansionOpts(b, Options{RunOpts: runopts.RunOpts{Budget: 1<<16 - 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(gray.Value-big.Value) > 1e-12 {
-			t.Fatalf("trial %d: gray=%g big=%g", trial, gray.Value, big.Value)
+		if math.Abs(gray.Value-big.Value) > 1e-12 || big.Visited == 0 {
+			t.Fatalf("trial %d: gray=%g big=%g (visited %d)", trial, gray.Value, big.Value, big.Visited)
 		}
-		// A MaxK cutoff disqualifies the Gray walk and routes the default to
-		// the branch-and-bound search; the flat path at the same cutoff is
-		// its oracle.
-		flat7, err := MinBipartiteExpansionOpts(b, Options{MaxK: 7, NoPrune: true})
+		// A MaxK cutoff routes to the search too; the test oracle at the
+		// same cutoff checks its witness.
+		oracle15 := oracleBipartite(b, 15)
+		bnb15, err := MinBipartiteExpansionOpts(b, Options{MaxK: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bnb7, err := MinBipartiteExpansionOpts(b, Options{MaxK: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if flat7.Value != bnb7.Value || flat7.ArgSet != bnb7.ArgSet {
-			t.Fatalf("trial %d: flat (%g,%b) != bnb (%g,%b)",
-				trial, flat7.Value, flat7.ArgSet, bnb7.Value, bnb7.ArgSet)
+		if oracle15.Value != bnb15.Value || oracle15.ArgSet != bnb15.ArgSet {
+			t.Fatalf("trial %d: oracle (%g,%b) != bnb (%g,%b)",
+				trial, oracle15.Value, oracle15.ArgSet, bnb15.Value, bnb15.ArgSet)
 		}
 	}
 }
@@ -164,11 +159,11 @@ func TestOrdinaryProfileValidation(t *testing.T) {
 	if _, err := OrdinaryProfile(g, 11); err == nil {
 		t.Fatal("maxK>n accepted")
 	}
-	// C(40,20) ≈ 1.4e11 work units cannot fit the default budget on the
-	// flat paths — but the branch-and-bound default prunes its way through:
+	// C(40,20) ≈ 1.4e11 sets cannot be enumerated within the default
+	// budget — but the branch-and-bound search prunes its way through:
 	// every per-size minimum of a cycle is a union of arcs, found early.
-	if _, err := Profile(gen.Cycle(40), ObjOrdinary, 20, Options{Recompute: true}); err == nil {
-		t.Fatal("budget-exceeding flat profile accepted")
+	if Feasible(40, 20, ObjOrdinary, 0) {
+		t.Fatal("a C(40,20) enumeration reported feasible")
 	}
 	p, err := OrdinaryProfile(gen.Cycle(40), 20)
 	if err != nil {
@@ -177,7 +172,7 @@ func TestOrdinaryProfileValidation(t *testing.T) {
 	if got := p.MinExpansion[20]; math.Abs(got-2.0/20) > 1e-12 {
 		t.Fatalf("β-profile(C40)[20] = %g, want 2/20", got)
 	}
-	// A small maxK fits even the flat paths.
+	// A small maxK fits even a full enumeration.
 	if _, err := OrdinaryProfile(gen.Cycle(40), 3); err != nil {
 		t.Fatal("n=40 maxK=3 should fit the default budget")
 	}
@@ -199,6 +194,25 @@ func TestEdgeExpansionKnown(t *testing.T) {
 	}
 	if math.Abs(res.Value-2.0/6) > 1e-12 {
 		t.Fatalf("h(C12) = %g", res.Value)
+	}
+	// The edge wrapper reports the same answer and search counters as
+	// the engine it wraps.
+	g := gen.ErdosRenyi(20, 0.3, rng.New(3))
+	edge, err := EdgeExpansionOpts(g, Options{RunOpts: runopts.RunOpts{Workers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := Exact(g, ObjEdge, Options{RunOpts: runopts.RunOpts{Workers: 2}, MaxK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edge.Value != ex.Value || edge.ArgSet != ex.ArgSet || edge.Sets != ex.Sets ||
+		edge.Pruned != ex.Pruned || edge.Visited != ex.Visited || edge.SubtreesPruned != ex.SubtreesPruned {
+		t.Fatalf("EdgeExpansionOpts %+v != Exact (%g,%b,%d,%d,%d,%d)", edge,
+			ex.Value, ex.ArgSet, ex.Sets, ex.Pruned, ex.Visited, ex.SubtreesPruned)
+	}
+	if edge.Visited == 0 {
+		t.Fatal("edge expansion reported no search")
 	}
 }
 
@@ -241,10 +255,10 @@ func TestEdgeExpansionValidation(t *testing.T) {
 	if math.Abs(res.Value-2.0/12) > 1e-12 {
 		t.Fatalf("h(C24) = %g, want %g", res.Value, 2.0/12)
 	}
-	// n=80 with k ≤ 40 overwhelms the flat enumeration but not the
+	// n=80 with k ≤ 40 overwhelms a full enumeration but not the
 	// branch-and-bound search: h(C80) = 2/40.
-	if _, err := Exact(gen.Cycle(80), ObjEdge, Options{MaxK: 40, Recompute: true}); err == nil {
-		t.Fatal("budget-exceeding flat n=80 accepted")
+	if Feasible(80, 40, ObjEdge, 0) {
+		t.Fatal("a Σ C(80,k≤40) enumeration reported feasible")
 	}
 	res, err = EdgeExpansion(gen.Cycle(80))
 	if err != nil {

@@ -1,6 +1,7 @@
 package expansion
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -9,12 +10,11 @@ import (
 	"sync/atomic"
 
 	"wexp/internal/bitset"
-	"wexp/internal/graph"
 )
 
 // Branch-and-bound search tree with deterministic frontier partitioning.
 //
-// The default exact path no longer walks every k-subset: it searches the
+// The exact path does not walk every k-subset: it searches the
 // prefix-decision tree whose node (k, t, P) stands for all k-sets S with
 // S ∩ [0,t) = P, branching on whether vertex t joins S. Subtrees whose
 // objective lower bound exceeds the incumbent are cut without being
@@ -44,28 +44,33 @@ import (
 // is visited, and the merged witness equals the full enumeration's
 // numerically smallest minimizer bit-for-bit.
 //
-// Leaves reuse the revolving-door incremental kernels: once a subtree's
-// completion count C(n−t, r) fits leafCap, its sets are enumerated in
-// revolving-door order over the tail with the prefix coverage preloaded —
-// O(deg(out)+deg(in)) per set, exactly the PR-5 machinery. The flat
-// kernels survive behind Options.Recompute (oracle) and Options.NoPrune
-// (full-enumeration semantics).
+// One driver serves two problems. bnbEngine owns the partition, the node
+// order, the pruning rule, the work meter, the worker pool and the merge;
+// a bnbProblem supplies only its seed pass, its lower bound and its leaf
+// evaluator. The graph objectives β, βu, βw and edge (graphSearch,
+// leaves.go) and the bipartite vertex expansion (bipSearch, bipartite.go)
+// are the two problems. Once a subtree's completion count C(n−t, r) fits
+// leafCap, the leaf evaluates all its sets in revolving-door order over
+// the tail with the prefix state preloaded. The serial, non-pruning oracle
+// the search is checked against lives in oracle_test.go.
 
-// ErrBudget reports that the branch-and-bound search ran out of work
-// budget mid-search. Unlike the flat kernels — whose cost is known up
-// front, so they refuse before starting — the search's cost depends on how
-// well the bounds prune, so it charges work as it goes and aborts when the
-// meter blows. Success or failure is still deterministic: the total charge
-// is a sum of per-subproblem deterministic quantities, so whether it
-// exceeds the budget cannot depend on scheduling. Callers distinguish the
-// refusal with errors.Is(err, ErrBudget) and can retry with a larger
-// Options.Budget.
+// ErrBudget reports that a solver ran out of work budget. The search's
+// cost depends on how well the bounds prune, so it charges work as it goes
+// and aborts when the meter blows; the randomized tier prices its plan up
+// front and refuses before starting. Success or failure is deterministic
+// either way: the search's total charge is a sum of per-subproblem
+// deterministic quantities, so whether it exceeds the budget cannot depend
+// on scheduling. Callers distinguish the refusal with
+// errors.Is(err, ErrBudget) and can retry with a larger Options.Budget.
 var ErrBudget = errors.New("work budget exceeded")
 
 const (
 	// leafCap is the largest completion count C(n−t, r) evaluated as one
 	// revolving-door leaf batch instead of being branched further.
 	leafCap = 2048
+	// swapBatch is how many revolving-door swaps a counting leaf pulls per
+	// NextBatch call, amortizing the enumerator's call overhead.
+	swapBatch = 256
 	// bnbSubTarget is the aimed-for number of prefix-class subproblems per
 	// cardinality — enough to load-balance any sane worker count while
 	// keeping per-subproblem overhead negligible.
@@ -236,42 +241,51 @@ func lowMask(t int) uint64 {
 	return uint64(1)<<uint(t) - 1
 }
 
-// bnbArena is the pooled per-worker scratch of the search.
+// bnbArena is the pooled per-worker scratch of the search. Each problem
+// sizes the fields its bound and leaves use and leaves the rest nil.
 type bnbArena struct {
 	rd       *bitset.RevolvingDoor
 	heap     nodeHeap
 	outs     []int
 	ins      []int
 	degCount []int32
-	// big-representation state
-	cnt     []int32
-	S       *bitset.Set
-	nbr     *bitset.Set
-	pset    *bitset.Set
-	sc      *bigScratch
-	members []int
+	cnt      []int32     // per-vertex coverage multiplicity
+	S        *bitset.Set // the leaf's current set
+	nbr      *bitset.Set // the bound's neighborhood of the prefix
+	pset     *bitset.Set
+	sc       *bigScratch
+	members  []int
+	best     chunkBest // the running best of the subproblem being solved
 }
 
-// bnbEngine holds the immutable per-solve state shared by all workers.
+// bnbProblem is what one problem supplies to the shared driver.
+type bnbProblem interface {
+	// seedPass evaluates a deterministic family of sets and records them
+	// as incumbents (recordSeed) before the search starts.
+	seedPass() error
+	// bound returns a sound lower bound on the numerator of every
+	// completion of the prefix: members ⊆ [0,t) chosen, the rest of [0,t)
+	// excluded, r more members to come from [t,n).
+	bound(ar *bnbArena, members []int32, t, k, r int) int
+	// leaf evaluates all C(n−t, r) completions of the prefix into best.
+	leaf(best *chunkBest, ar *bnbArena, members []int32, t, k, r int) error
+}
+
+// bnbEngine is the search driver: the immutable per-solve state shared by
+// all workers, plus the seed incumbents and the work meter.
 type bnbEngine struct {
-	obj    Objective
-	n      int
-	maxK   int
-	small  bool
-	perK   bool
-	budget uint64
-	opt    Options
-
-	masks []uint64      // small representation (n ≤ 64)
-	adj   []*bitset.Set // big representation
-	rows  [][]int32     // big counting updates
-	deg   []int
-
-	evalSmall  *smallKernel // single-set oracle evals (seed pass)
-	evalBig    *bigKernel
-	seedScr    *bigScratch
-	seedSet    *bitset.Set // big-path seed evaluation set buffer
-	rowScratch []int32     // small-path adjacency row decode buffer
+	n       int // the universe the tree branches over: vertices, or the S side
+	maxK    int
+	perK    bool
+	budget  uint64
+	workers int
+	ctx     context.Context
+	what    string // names the search in budget errors
+	hint    string
+	prob    bnbProblem
+	// prefixBound reports that prob's bound depends on the chosen members
+	// only, so an exclude child keeps its parent's bound.
+	prefixBound bool
 
 	meter workMeter
 
@@ -286,169 +300,30 @@ type bnbEngine struct {
 	pool sync.Pool // *bnbArena
 }
 
-func newBnbEngine(g *graph.Graph, obj Objective, maxK int, opt Options, budget uint64, perK bool) *bnbEngine {
-	n := g.N()
-	e := &bnbEngine{
-		obj: obj, n: n, maxK: maxK,
-		small:  n <= 64 && !opt.forceBig,
-		perK:   perK,
-		budget: budget,
-		opt:    opt,
-		deg:    make([]int, n),
-	}
-	for v := 0; v < n; v++ {
-		e.deg[v] = g.Degree(v)
-	}
-	if e.small {
-		e.masks = adjMasks(g)
-		e.evalSmall = &smallKernel{masks: e.masks, deg: e.deg, obj: obj, n: n}
-	} else {
-		bk := newBigKernel(g, obj, false)
-		e.adj = bk.adj
-		e.evalBig = bk
-		e.rows = make([][]int32, n)
-		for v := 0; v < n; v++ {
-			e.rows[v] = g.Neighbors(v)
-		}
-		e.seedScr = &bigScratch{once: bitset.New(n), twice: bitset.New(n), tmp: bitset.New(n)}
-	}
+func newBnbEngine(n, maxK int, perK bool, budget uint64, workers int, ctx context.Context, prob bnbProblem) *bnbEngine {
+	e := &bnbEngine{n: n, maxK: maxK, perK: perK, budget: budget, workers: workers, ctx: ctx, prob: prob}
 	e.seedNumK = make([]int, maxK+1)
 	for k := range e.seedNumK {
 		e.seedNumK[k] = math.MaxInt
 	}
 	e.meter.budget = budget
-	e.pool.New = func() any {
-		ar := &bnbArena{
-			rd:   &bitset.RevolvingDoor{},
-			outs: make([]int, swapBatch),
-			ins:  make([]int, swapBatch),
-		}
-		if e.small {
-			ar.degCount = make([]int32, 65)
-		} else {
-			ar.cnt = make([]int32, n)
-			ar.S = bitset.New(n)
-			ar.nbr = bitset.New(n)
-			ar.pset = bitset.New(n)
-			ar.degCount = make([]int32, n+1)
-			ar.sc = &bigScratch{once: bitset.New(n), twice: bitset.New(n), tmp: bitset.New(n)}
-		}
-		return ar
-	}
 	return e
 }
 
 func (e *bnbEngine) budgetErr() error {
-	return fmt.Errorf("expansion: exact %v branch-and-bound on n=%d (|S| ≤ %d): %w (budget %d); raise Options.Budget or lower α",
-		e.obj, e.n, e.maxK, ErrBudget, e.budget)
+	return fmt.Errorf("expansion: %s: %w (budget %d); %s", e.what, ErrBudget, e.budget, e.hint)
 }
 
-func (e *bnbEngine) cancelled() bool {
-	return e.opt.Ctx != nil && e.opt.Ctx.Err() != nil
-}
-
-// evalSet is the single-set oracle evaluation used by the seed pass and
-// r = 0 leaves — the recompute kernels' eval, shared verbatim.
-func (e *bnbEngine) evalSet(members []int, sc *bigScratch) (num int, innerSub uint64, mask uint64) {
-	if e.small {
-		var S uint64
-		for _, v := range members {
-			S |= 1 << uint(v)
-		}
-		num, inner := e.evalSmall.eval(S)
-		return num, inner, S
-	}
-	sc.members = members
-	if e.seedSet == nil {
-		e.seedSet = bitset.New(e.n)
-	}
-	S := e.seedSet
-	S.Clear()
-	for _, v := range members {
-		S.Add(v)
-	}
-	num, innerSub = e.evalBig.eval(S, sc)
-	return num, innerSub, 0
-}
-
-// recordSeed folds one evaluated set into the deterministic incumbents.
+// recordSeed folds one evaluated seed set into the deterministic
+// incumbents.
 func (e *bnbEngine) recordSeed(num, k int) {
+	e.seedSets++
 	if num < e.seedNumK[k] {
 		e.seedNumK[k] = num
 	}
 	if e.seedK == 0 || int64(num)*int64(e.seedK) < int64(e.seedNum)*int64(k) {
 		e.seedNum, e.seedK = num, k
 	}
-}
-
-// seedPass builds the incumbents every subproblem prunes against: for each
-// start vertex, the BFS-ball prefixes of sizes 1..maxK are evaluated with
-// the oracle kernel. No randomness — the incumbents, like everything else,
-// are a pure function of the instance. The pass spends at most budget/8
-// work units (charged against the shared meter) and stops early —
-// deterministically — when that share is exhausted. Skipped entirely for
-// βu, which admits no lower bound and so cannot prune.
-func (e *bnbEngine) seedPass() error {
-	if e.obj == ObjUnique {
-		return nil
-	}
-	seedCap := e.budget/8 + 1
-	var spent uint64
-	mark := make([]bool, e.n)
-	queue := make([]int, 0, e.n)
-	order := make([]int, 0, e.maxK)
-	for s := 0; s < e.n; s++ {
-		for i := range mark {
-			mark[i] = false
-		}
-		queue = append(queue[:0], s)
-		mark[s] = true
-		order = order[:0]
-		for qi := 0; qi < len(queue) && len(order) < e.maxK; qi++ {
-			v := queue[qi]
-			order = append(order, v)
-			for _, w := range e.rowOf(v) {
-				if !mark[w] {
-					mark[w] = true
-					queue = append(queue, int(w))
-				}
-			}
-		}
-		for k := 1; k <= len(order); k++ {
-			cost := setCost(e.obj, k)
-			if cost > seedCap-spent {
-				return nil // share exhausted: stop the whole pass
-			}
-			if !e.meter.charge(cost) {
-				return e.budgetErr()
-			}
-			spent += cost
-			num, _, _ := e.evalSet(order[:k], e.seedScratch())
-			e.seedSets++
-			e.recordSeed(num, k)
-		}
-	}
-	return nil
-}
-
-func (e *bnbEngine) seedScratch() *bigScratch {
-	if e.small {
-		return nil
-	}
-	return e.seedScr
-}
-
-func (e *bnbEngine) rowOf(v int) []int32 {
-	if e.rows != nil {
-		return e.rows[v]
-	}
-	// Small path: adjacency rows were not kept; decode the mask.
-	row := e.rowScratch[:0]
-	for rest := e.masks[v]; rest != 0; rest &= rest - 1 {
-		row = append(row, int32(bits.TrailingZeros64(rest)))
-	}
-	e.rowScratch = row
-	return row
 }
 
 // prunable reports whether a lower bound b for sets of cardinality k is
@@ -467,110 +342,21 @@ func (e *bnbEngine) prunable(b, k int, localFound bool, localNum int) bool {
 	return e.seedK != 0 && int64(b)*int64(e.seedK) > int64(e.seedNum)*int64(k)
 }
 
-// bound returns a sound lower bound on the objective numerator over every
-// completion of the prefix: members ⊆ [0,t) chosen, the rest of [0,t)
-// excluded, r more members to come from [t,n).
-//
-//   - every objective except βu admits the degree floor
-//     maxdeg(P) − (k−1): some chosen vertex keeps that many neighbors
-//     outside S, each of which contributes to Γ⁻, to the wireless inner
-//     max (take S' = {v}), and to the edge cut;
-//   - β and edge add the coverage bound: neighbors of P among the
-//     excluded vertices are outside S for good, and at most r of P's
-//     tail neighbors can still be absorbed into S — the rest are covered
-//     (≥ 1 cut edge each for the edge objective);
-//   - βu admits no bound (unique coverage can vanish for any prefix), so
-//     its searches never prune — the tree machinery still runs for the
-//     determinism contract and the leaf evaluators.
-func (e *bnbEngine) bound(ar *bnbArena, members []int32, t, k, r int) int {
-	if e.obj == ObjUnique || len(members) == 0 {
-		return 0
-	}
-	maxDeg := 0
-	for _, v := range members {
-		if d := e.deg[v]; d > maxDeg {
-			maxDeg = d
-		}
-	}
-	b := maxDeg - (k - 1)
-	if b < 0 {
-		b = 0
-	}
-	if e.obj == ObjWireless {
-		return b
-	}
-	var cb int
-	if e.small {
-		var pm, nbr uint64
-		for _, v := range members {
-			pm |= 1 << uint(v)
-			nbr |= e.masks[v]
-		}
-		tm := lowMask(t)
-		over := bits.OnesCount64(nbr&^tm) - r // tail neighbors beyond the absorbable r
-		if over < 0 {
-			over = 0
-		}
-		if e.obj == ObjOrdinary {
-			cb = bits.OnesCount64(nbr&tm&^pm) + over
-		} else { // ObjEdge: count edges into the excluded set, not vertices
-			epe := 0
-			exc := tm &^ pm
-			for _, v := range members {
-				epe += bits.OnesCount64(e.masks[v] & exc)
-			}
-			cb = epe + over
-		}
-	} else {
-		nbr := ar.nbr
-		nbr.Clear()
-		for _, v := range members {
-			nbr.Union(e.adj[v])
-		}
-		over := nbr.CountRange(t, e.n) - r
-		if over < 0 {
-			over = 0
-		}
-		if e.obj == ObjOrdinary {
-			cov := nbr.CountRange(0, t)
-			for _, v := range members {
-				if nbr.Contains(int(v)) {
-					cov--
-				}
-			}
-			cb = cov + over
-		} else { // ObjEdge
-			pset := ar.pset
-			pset.Clear()
-			for _, v := range members {
-				pset.Add(int(v))
-			}
-			epe := 0
-			for _, v := range members {
-				a := e.adj[v]
-				epe += a.CountRange(0, t) - a.IntersectionCount(pset)
-			}
-			cb = epe + over
-		}
-	}
-	if cb > b {
-		b = cb
-	}
-	return b
-}
-
 // runSub solves one subproblem to completion: best-first over its part of
-// the prefix tree, leaf batches in revolving-door order, all counters
+// the prefix tree, leaves evaluated by the problem, all counters
 // deterministic. Returns the subproblem's chunkBest (with visited/subtrees
-// statistics folded in).
+// statistics folded in). The running best lives in the worker's arena: a
+// local would move to the heap, since the leaf takes its address through
+// an interface call, and a slot in the shared results slice would put two
+// workers' hot counters on one cache line.
 func (e *bnbEngine) runSub(sp subproblem, ar *bnbArena) (chunkBest, error) {
-	best := chunkBest{}
+	best := &ar.best
+	*best = chunkBest{}
 	k := sp.k
 	h := ar.heap[:0]
 	defer func() { ar.heap = h[:0] }()
 	seq := int32(0)
-	push := func(members []int32, t, r int) {
-		b := e.bound(ar, members, t, k, r)
+	push := func(members []int32, t, r, b int) {
 		if e.prunable(b, k, best.found, best.num) {
 			best.pruned = addSat64(best.pruned, satInt64(binom(e.n-t, r)))
 			best.subtrees++
@@ -584,14 +370,14 @@ func (e *bnbEngine) runSub(sp subproblem, ar *bnbArena) (chunkBest, error) {
 	for rest := sp.prefix; rest != 0; rest &= rest - 1 {
 		root = append(root, int32(bits.TrailingZeros64(rest)))
 	}
-	push(root, sp.depth, k-len(root))
+	push(root, sp.depth, k-len(root), e.prob.bound(ar, root, sp.depth, k, k-len(root)))
 
 	for len(h) > 0 {
-		if e.cancelled() {
-			return best, e.opt.Ctx.Err()
+		if e.ctx != nil && e.ctx.Err() != nil {
+			return *best, e.ctx.Err()
 		}
 		if e.meter.blown.Load() {
-			return best, e.budgetErr()
+			return *best, e.budgetErr()
 		}
 		nd := h.pop()
 		if e.prunable(int(nd.bound), k, best.found, best.num) {
@@ -607,486 +393,56 @@ func (e *bnbEngine) runSub(sp subproblem, ar *bnbArena) (chunkBest, error) {
 			break
 		}
 		if !e.meter.charge(1) {
-			return best, e.budgetErr()
+			return *best, e.budgetErr()
 		}
 		best.visited++
 		t, r := int(nd.t), int(nd.r)
 		if r == 0 || binom(e.n-t, r) <= leafCap {
-			if err := e.leaf(&best, ar, nd.members, t, k, r); err != nil {
-				return best, err
+			if err := e.prob.leaf(best, ar, nd.members, t, k, r); err != nil {
+				return *best, err
 			}
 			continue
 		}
 		// Branch on vertex t. Exclude first (shares the members slice),
 		// include second; push order is fixed, so seq — and the heap's
 		// tie-break — is deterministic.
-		push(nd.members, t+1, r)
+		exc := int(nd.bound)
+		if !e.prefixBound {
+			exc = e.prob.bound(ar, nd.members, t+1, k, r)
+		}
+		push(nd.members, t+1, r, exc)
 		inc := make([]int32, len(nd.members)+1)
 		copy(inc, nd.members)
 		inc[len(nd.members)] = int32(t)
-		push(inc, t+1, r-1)
+		push(inc, t+1, r-1, e.prob.bound(ar, inc, t+1, k, r-1))
 	}
-	return best, nil
+	return *best, nil
 }
 
-// leaf evaluates every completion of the prefix — C(n−t, r) sets — with
-// the revolving-door incremental state preloaded with the prefix.
-func (e *bnbEngine) leaf(best *chunkBest, ar *bnbArena, members []int32, t, k, r int) error {
-	if e.small {
-		if e.obj == ObjWireless {
-			return e.leafSmallWireless(best, ar, members, t, k, r)
-		}
-		return e.leafSmallCount(best, ar, members, t, k, r)
-	}
-	if e.obj == ObjWireless {
-		return e.leafBigWireless(best, ar, members, t, k, r)
-	}
-	return e.leafBigCount(best, ar, members, t, k, r)
-}
-
-// considerSmall folds one evaluated set into the subproblem best with the
-// engine's (min numerator, numerically smallest witness) tie-break.
-func considerSmall(best *chunkBest, num int, S, inner uint64) {
-	if !best.found || num < best.num || (num == best.num && S < best.set) {
-		best.found = true
-		best.num = num
-		best.set = S
-		best.inner = inner
-	}
-}
-
-// decRow ripple-subtracts one from the counter of every vertex in row m —
-// the inverse of incRow.
-func (pl *planes) decRow(m uint64) {
-	old := pl.p0
-	pl.p0 = old ^ m
-	if m &^= old; m == 0 {
-		return
-	}
-	old = pl.p1
-	pl.p1 = old ^ m
-	if m &^= old; m == 0 {
-		return
-	}
-	old = pl.p2
-	pl.p2 = old ^ m
-	if m &^= old; m == 0 {
-		return
-	}
-	old = pl.p3
-	pl.p3 = old ^ m
-	if m &^= old; m == 0 {
-		return
-	}
-	old = pl.p4
-	pl.p4 = old ^ m
-	if m &^= old; m == 0 {
-		return
-	}
-	pl.p5 ^= m
-}
-
-func (pl *planes) evalNum(obj Objective, S uint64) int {
-	switch obj {
-	case ObjOrdinary:
-		return pl.covered(S)
-	case ObjUnique:
-		return pl.uniqueOut(S)
-	default: // ObjEdge
-		return pl.cut(S)
-	}
-}
-
-func (e *bnbEngine) leafSmallCount(best *chunkBest, ar *bnbArena, members []int32, t, k, r int) error {
-	m := e.n - t
-	count := binom(m, r)
-	if !e.meter.charge(count) {
-		return e.budgetErr()
-	}
-	var pl planes
-	var S uint64
-	for _, v := range members {
-		pl.incRow(e.masks[v])
-		S |= 1 << uint(v)
-	}
-	rd := ar.rd
-	rd.Reset(m, r, 0)
-	for _, v := range rd.Members() {
-		w := v + t
-		pl.incRow(e.masks[w])
-		S |= 1 << uint(w)
-	}
-	best.sets++
-	considerSmall(best, pl.evalNum(e.obj, S), S, 0)
-	for {
-		out, in, ok := rd.Next()
-		if !ok {
-			return nil
-		}
-		pl.decRow(e.masks[out+t])
-		pl.incRow(e.masks[in+t])
-		S ^= 1<<uint(out+t) | 1<<uint(in+t)
-		best.sets++
-		considerSmall(best, pl.evalNum(e.obj, S), S, 0)
-	}
-}
-
-func (e *bnbEngine) leafSmallWireless(best *chunkBest, ar *bnbArena, members []int32, t, k, r int) error {
-	m := e.n - t
-	degCount := ar.degCount
-	clear(degCount)
-	maxDeg := 0
-	var S uint64
-	for _, v := range members {
-		degCount[e.deg[v]]++
-		if e.deg[v] > maxDeg {
-			maxDeg = e.deg[v]
-		}
-		S |= 1 << uint(v)
-	}
-	rd := ar.rd
-	rd.Reset(m, r, 0)
-	for _, v := range rd.Members() {
-		w := v + t
-		degCount[e.deg[w]]++
-		if e.deg[w] > maxDeg {
-			maxDeg = e.deg[w]
-		}
-		S |= 1 << uint(w)
-	}
-	cost := setCost(ObjWireless, k)
-	var skipped uint64
-	for {
-		// The per-set degree floor rides the incrementally maintained
-		// multiset, exactly as in the flat wireless kernels; a skipped set
-		// is charged one unit, an evaluated one its full 2^k scan.
-		if e.prunable(maxDeg-(k-1), k, best.found, best.num) {
-			best.pruned = addSat64(best.pruned, 1)
-			skipped++
-		} else {
-			if !e.meter.charge(cost) {
-				return e.budgetErr()
-			}
-			num, inner := WirelessOfSet(e.masks, S)
-			best.sets++
-			considerSmall(best, num, S, inner)
-		}
-		out, in, ok := rd.Next()
-		if !ok {
-			break
-		}
-		u, w := out+t, in+t
-		S ^= 1<<uint(u) | 1<<uint(w)
-		dOut, dIn := e.deg[u], e.deg[w]
-		degCount[dOut]--
-		degCount[dIn]++
-		if dIn > maxDeg {
-			maxDeg = dIn
-		} else if dOut == maxDeg && degCount[dOut] == 0 {
-			for maxDeg > 0 && degCount[maxDeg] == 0 {
-				maxDeg--
-			}
-		}
-	}
-	if skipped > 0 && !e.meter.charge(skipped) {
-		return e.budgetErr()
-	}
-	return nil
-}
-
-// considerBig folds one evaluated set (the arena's S bitset) into the
-// subproblem best. Witness buffers belong to the chunkBest — they escape
-// into the merged results, so they are never pooled.
-func (e *bnbEngine) considerBig(best *chunkBest, num int, S *bitset.Set, innerSub uint64, mem []int) {
-	if best.found && (num > best.num || (num == best.num && S.Compare(best.setBig) >= 0)) {
-		return
-	}
-	best.found = true
-	best.num = num
-	if best.setBig == nil {
-		best.setBig = bitset.New(e.n)
-	}
-	best.setBig.Copy(S)
-	if e.obj != ObjWireless {
-		return
-	}
-	if innerSub == 0 {
-		best.innerBig = nil
-		return
-	}
-	if best.innerBig == nil {
-		best.innerBig = bitset.New(e.n)
-	}
-	expandSubInto(best.innerBig, innerSub, mem)
-}
-
-func (e *bnbEngine) leafBigCount(best *chunkBest, ar *bnbArena, members []int32, t, k, r int) error {
-	m := e.n - t
-	count := binom(m, r)
-	if !e.meter.charge(count) {
-		return e.budgetErr()
-	}
-	obj := e.obj
-	cnt := ar.cnt
-	clear(cnt)
-	mem := ar.members[:0]
-	for _, v := range members {
-		mem = append(mem, int(v))
-	}
-	rd := ar.rd
-	rd.Reset(m, r, 0)
-	for _, v := range rd.Members() {
-		mem = append(mem, v+t)
-	}
-	S := ar.S
-	S.Clear()
-	var total int32
-	for _, v := range mem {
-		S.Add(v)
-		switch obj {
-		case ObjOrdinary:
-			for _, w := range e.rows[v] {
-				old := cnt[w]
-				cnt[w] = old + 1
-				total += b2i(old == 0)
-			}
-		case ObjUnique:
-			for _, w := range e.rows[v] {
-				old := cnt[w]
-				cnt[w] = old + 1
-				total += b2i(old == 0) - b2i(old == 1)
-			}
-		default: // ObjEdge
-			total += int32(e.deg[v]) - 2*cnt[v]
-			for _, w := range e.rows[v] {
-				cnt[w]++
-			}
-		}
-	}
-	corr := func() int32 {
-		c := int32(0)
-		switch obj {
-		case ObjOrdinary:
-			for _, v := range mem {
-				c += b2i(cnt[v] > 0)
-			}
-		case ObjUnique:
-			for _, v := range mem {
-				c += b2i(cnt[v] == 1)
-			}
-		}
-		return c
-	}
-	best.sets++
-	e.considerBig(best, int(total-corr()), S, 0, mem)
-	for done := uint64(1); done < count; {
-		want := count - done
-		if want > swapBatch {
-			want = swapBatch
-		}
-		bm := rd.NextBatch(ar.outs[:want], ar.ins[:want])
-		if bm == 0 {
-			break
-		}
-		for i := 0; i < bm; i++ {
-			u, v := ar.outs[i]+t, ar.ins[i]+t
-			for j, x := range mem {
-				if x == u {
-					mem[j] = v
-					break
-				}
-			}
-			switch obj {
-			case ObjOrdinary:
-				for _, w := range e.rows[u] {
-					nw := cnt[w] - 1
-					cnt[w] = nw
-					total -= b2i(nw == 0)
-				}
-				for _, w := range e.rows[v] {
-					old := cnt[w]
-					cnt[w] = old + 1
-					total += b2i(old == 0)
-				}
-			case ObjUnique:
-				for _, w := range e.rows[u] {
-					old := cnt[w]
-					cnt[w] = old - 1
-					total += b2i(old == 2) - b2i(old == 1)
-				}
-				for _, w := range e.rows[v] {
-					old := cnt[w]
-					cnt[w] = old + 1
-					total += b2i(old == 0) - b2i(old == 1)
-				}
-			default: // ObjEdge
-				total -= int32(e.deg[u]) - 2*cnt[u]
-				for _, w := range e.rows[u] {
-					cnt[w]--
-				}
-				total += int32(e.deg[v]) - 2*cnt[v]
-				for _, w := range e.rows[v] {
-					cnt[w]++
-				}
-			}
-			S.Remove(u)
-			S.Add(v)
-			best.sets++
-			e.considerBig(best, int(total-corr()), S, 0, mem)
-		}
-		done += uint64(bm)
-	}
-	ar.members = mem
-	return nil
-}
-
-func (e *bnbEngine) leafBigWireless(best *chunkBest, ar *bnbArena, members []int32, t, k, r int) error {
-	m := e.n - t
-	degCount := ar.degCount
-	clear(degCount)
-	maxDeg := 0
-	mem := ar.members[:0]
-	for _, v := range members {
-		mem = append(mem, int(v))
-	}
-	rd := ar.rd
-	rd.Reset(m, r, 0)
-	for _, v := range rd.Members() {
-		mem = append(mem, v+t)
-	}
-	S := ar.S
-	S.Clear()
-	for _, v := range mem {
-		S.Add(v)
-		degCount[e.deg[v]]++
-		if e.deg[v] > maxDeg {
-			maxDeg = e.deg[v]
-		}
-	}
-	cost := setCost(ObjWireless, k)
-	var skipped uint64
-	for {
-		if e.prunable(maxDeg-(k-1), k, best.found, best.num) {
-			best.pruned = addSat64(best.pruned, 1)
-			skipped++
-		} else {
-			if !e.meter.charge(cost) {
-				return e.budgetErr()
-			}
-			ar.sc.members = mem
-			num, innerSub := wirelessScanBig(e.adj, S, ar.sc)
-			best.sets++
-			e.considerBig(best, num, S, innerSub, mem)
-		}
-		out, in, ok := rd.Next()
-		if !ok {
-			break
-		}
-		u, w := out+t, in+t
-		S.Remove(u)
-		S.Add(w)
-		removeMember(&mem, u)
-		insertMember(&mem, w)
-		dOut, dIn := e.deg[u], e.deg[w]
-		degCount[dOut]--
-		degCount[dIn]++
-		if dIn > maxDeg {
-			maxDeg = dIn
-		} else if dOut == maxDeg && degCount[dOut] == 0 {
-			for maxDeg > 0 && degCount[maxDeg] == 0 {
-				maxDeg--
-			}
-		}
-	}
-	ar.members = mem
-	if skipped > 0 && !e.meter.charge(skipped) {
-		return e.budgetErr()
-	}
-	return nil
-}
-
-// bnbSolve runs the full search: seed pass, deterministic subproblem
-// partition, worker pool, index-order merge. perK selects per-cardinality
-// incumbents (Profile needs the exact best for every k) over the stronger
-// global-ratio incumbent (Exact only needs the overall minimum).
-func bnbSolve(g *graph.Graph, obj Objective, maxK int, opt Options, budget uint64, perK bool) (*engineOut, error) {
-	e := newBnbEngine(g, obj, maxK, opt, budget, perK)
-	if err := e.seedPass(); err != nil {
+// solve runs the full search: the problem's seed pass, the deterministic
+// subproblem partition, the worker pool, and the merge in subproblem-index
+// order into per-cardinality bests.
+func (e *bnbEngine) solve() (*engineOut, error) {
+	if err := e.prob.seedPass(); err != nil {
 		return nil, err
 	}
-	subs := bnbSubproblems(e.n, maxK)
-	workers := opt.Workers
+	subs := bnbSubproblems(e.n, e.maxK)
+	results := make([]chunkBest, len(subs))
+	workers := e.workers
 	if workers <= 0 {
 		workers = poolWidth()
 	}
-	if workers > len(subs) {
-		workers = len(subs)
-	}
-	results := make([]chunkBest, len(subs))
-	var (
-		failed   atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		failed.Store(true)
-	}
-	runOne := func(i int) {
+	err := runPool(e.ctx, len(subs), workers, func(i int) error {
 		ar := e.pool.Get().(*bnbArena)
-		best, err := e.runSub(subs[i], ar)
-		e.pool.Put(ar)
-		if err != nil {
-			fail(err)
-			return
-		}
-		results[i] = best
+		defer e.pool.Put(ar)
+		var err error
+		results[i], err = e.runSub(subs[i], ar)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers <= 1 {
-		for i := range subs {
-			if e.cancelled() {
-				return nil, e.opt.Ctx.Err()
-			}
-			if failed.Load() {
-				break
-			}
-			runOne(i)
-		}
-	} else {
-		var cursor atomic.Int64
-		cursor.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !failed.Load() && !e.cancelled() {
-					i := int(cursor.Add(1))
-					if i >= len(subs) {
-						return
-					}
-					runOne(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if e.cancelled() {
-		return nil, e.opt.Ctx.Err()
-	}
-	if failed.Load() {
-		return nil, firstErr
-	}
-	kernel := "big-bnb"
-	if e.small {
-		kernel = "small-bnb"
-	}
-	out := &engineOut{n: e.n, maxK: maxK, kernel: kernel, perK: make([]chunkBest, maxK+1)}
-	out.sets = e.seedSets
+	out := &engineOut{n: e.n, maxK: e.maxK, perK: make([]chunkBest, e.maxK+1), sets: e.seedSets}
 	for i := range results {
 		r := &results[i]
 		out.sets += r.sets

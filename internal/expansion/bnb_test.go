@@ -72,11 +72,11 @@ func TestBnbWorkerInvariance(t *testing.T) {
 }
 
 // TestBnbPruneSoundness: on a random corpus spanning densities and
-// objectives, the default branch-and-bound search must reproduce the
-// recompute oracle's value and witness exactly — pruning may only skip
-// sets that provably cannot improve the minimum — and its accounting must
-// cover the full enumeration space: every candidate set is either
-// evaluated or pruned (seed evaluations can only add to the left side).
+// objectives, the branch-and-bound search must reproduce the test
+// oracle's value and witness exactly — pruning may only skip sets that
+// provably cannot improve the minimum — and its accounting must cover the
+// full enumeration space: every candidate set is either evaluated or
+// pruned (seed evaluations can only add to the left side).
 func TestBnbPruneSoundness(t *testing.T) {
 	r := rng.New(42)
 	for trial := 0; trial < 12; trial++ {
@@ -84,12 +84,11 @@ func TestBnbPruneSoundness(t *testing.T) {
 		p := 0.15 + 0.05*float64(trial%5)
 		g := gen.ErdosRenyi(n, p, r)
 		for _, obj := range []Objective{ObjOrdinary, ObjWireless, ObjUnique, ObjEdge} {
-			opt := Options{MaxK: n / 2}
-			bnb, err1 := Exact(g, obj, opt)
-			oracle, err2 := Exact(g, obj, Options{MaxK: n / 2, Recompute: true})
-			if err1 != nil || err2 != nil {
-				t.Fatalf("trial %d n=%d obj=%v: errs %v / %v", trial, n, obj, err1, err2)
+			bnb, err := Exact(g, obj, Options{MaxK: n / 2})
+			if err != nil {
+				t.Fatalf("trial %d n=%d obj=%v: %v", trial, n, obj, err)
 			}
+			oracle := oracleExact(g, obj, n/2, 1, false)
 			if bnb.Value != oracle.Value || bnb.ArgSet != oracle.ArgSet {
 				t.Fatalf("trial %d n=%d obj=%v: bnb (%v,%b) != oracle (%v,%b)",
 					trial, n, obj, bnb.Value, bnb.ArgSet, oracle.Value, oracle.ArgSet)
@@ -99,17 +98,9 @@ func TestBnbPruneSoundness(t *testing.T) {
 			}
 			// Full-space accounting: every candidate set is either evaluated
 			// or pruned (seed-pass evaluations can only add to the left side).
-			space := int64(0)
-			for k := 1; k <= n/2; k++ {
-				c := int64(1)
-				for i := 0; i < k; i++ {
-					c = c * int64(n-i) / int64(i+1)
-				}
-				space += c
-			}
-			if got := int64(bnb.Sets) + bnb.Pruned; got < space {
+			if got := int64(bnb.Sets) + bnb.Pruned; got < int64(oracle.Sets) {
 				t.Fatalf("trial %d n=%d obj=%v: bnb accounts for %d sets < space %d",
-					trial, n, obj, got, space)
+					trial, n, obj, got, oracle.Sets)
 			}
 		}
 	}

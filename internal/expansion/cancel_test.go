@@ -85,3 +85,21 @@ func TestBipartiteCancelled(t *testing.T) {
 		t.Fatalf("got err %v, want context.Canceled", err)
 	}
 }
+
+// TestBipartiteCancelledGray: the Gray-code walk (|S| ≤ 62, no size cap,
+// 2^|S| within the budget) observes the context too — a cancelled
+// context stops a 2^24-subset walk instead of running it to the end.
+func TestBipartiteCancelledGray(t *testing.T) {
+	b := gen.RandomBipartite(24, 48, 0.12, rng.New(5))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := MinBipartiteExpansionOpts(b, Options{Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got err %v, want context.Canceled", err)
+	}
+	// Cancelled mid-walk: the countdown flips after the first look.
+	_, err = MinBipartiteExpansionOpts(b, Options{Ctx: newCountdownCtx(1)})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-walk: got err %v, want context.Canceled", err)
+	}
+}

@@ -14,7 +14,7 @@ const (
 	// solver: the upper end is witnessed by an exactly evaluated set, the
 	// lower end holds except with probability ≤ FailureProb.
 	CertCertified CertKind = "certified"
-	// CertEstimate marks an uncertified sampling estimate (tier four).
+	// CertEstimate marks an uncertified sampling estimate (tier three).
 	CertEstimate CertKind = "estimate"
 )
 

@@ -1,6 +1,8 @@
 package expansion
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"wexp/internal/gen"
@@ -12,7 +14,7 @@ import (
 // assertSameAnswer demands bit-for-bit agreement on the answer — Value,
 // both witness representations, the inner witness — across paths whose
 // enumeration shapes (and hence Sets/Pruned counters) legitimately differ,
-// such as branch-and-bound vs the flat kernels.
+// such as the branch-and-bound search vs the test oracle.
 func assertSameAnswer(t *testing.T, ctx string, want, got Result) {
 	t.Helper()
 	if want.Value != got.Value {
@@ -32,9 +34,8 @@ func assertSameAnswer(t *testing.T, ctx string, want, got Result) {
 	}
 }
 
-// assertSameResult additionally demands the same Sets count — the full
-// contract between the flat kernels (incremental vs recompute), which walk
-// the identical rank space.
+// assertSameResult additionally demands the same Sets count — the contract
+// between two full enumerations of the same rank space.
 func assertSameResult(t *testing.T, ctx string, want, got Result) {
 	t.Helper()
 	assertSameAnswer(t, ctx, want, got)
@@ -45,13 +46,35 @@ func assertSameResult(t *testing.T, ctx string, want, got Result) {
 
 var allObjectives = []Objective{ObjOrdinary, ObjUnique, ObjWireless, ObjEdge}
 
+// searchBoth runs the search on both representations — the uint64 leaves
+// and the bitset leaves (forceBig) — checks each against the oracle's
+// answer and the kernel labels, and demands identical counters: the two
+// representations walk the same tree. It returns the uint64 run.
+func searchBoth(t *testing.T, label string, g *graph.Graph, obj Objective, opt Options, oracle Result) Result {
+	t.Helper()
+	small, err := Exact(g, obj, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	assertSameAnswer(t, label+" small-bnb", oracle, small)
+	opt.forceBig = true
+	big, err := Exact(g, obj, opt)
+	if err != nil {
+		t.Fatalf("%s big: %v", label, err)
+	}
+	assertSameAnswer(t, label+" big-bnb", oracle, big)
+	if small.Kernel != "small-bnb" || big.Kernel != "big-bnb" {
+		t.Fatalf("%s: kernel labels %q / %q", label, small.Kernel, big.Kernel)
+	}
+	sameSearch(t, label+" small vs big", small, big)
+	return small
+}
+
 // TestIncrementalMatchesRecompute is the differential acceptance test of
-// the enumeration paths: on random graphs, for all four objectives,
-// several α and pool widths, the flat incremental kernels (NoPrune) must
-// reproduce the recompute oracle bit for bit — including the Sets count —
-// and the default branch-and-bound search must reproduce the same answer
-// (its Sets/Pruned counters are search-shaped by design). All of the
-// uint64 path, the bitset path (forceBig), and cross-path agreement.
+// the search: on random graphs, for all four objectives, several α and
+// pool widths, the branch-and-bound search must reproduce the serial test
+// oracle's answer bit for bit on both representations, with every counter
+// identical across representations and pool widths.
 func TestIncrementalMatchesRecompute(t *testing.T) {
 	r := rng.New(20260728)
 	for trial := 0; trial < 4; trial++ {
@@ -62,46 +85,15 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 				if obj == ObjWireless && n >= 13 && alpha > 0.6 {
 					alpha = 0.5 // cap the 2^k inner scan at test size
 				}
+				oracle := oracleExact(g, obj, MaxSetSize(n, alpha), 1, false)
+				var base Result
 				for _, w := range []int{1, 3, 8} {
-					ctx := func(kind string) string {
-						return obj.String() + kind
+					label := fmt.Sprintf("n=%d %v α=%g w=%d", n, obj, alpha, w)
+					res := searchBoth(t, label, g, obj, Options{RunOpts: runopts.RunOpts{Workers: w}, Alpha: alpha}, oracle)
+					if w == 1 {
+						base = res
 					}
-					oracle, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: w}, Alpha: alpha, Recompute: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					inc, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: w}, Alpha: alpha, NoPrune: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameResult(t, ctx(" small"), oracle, inc)
-					if inc.Kernel != "small-incremental" || oracle.Kernel != "small-recompute" {
-						t.Fatalf("kernel labels %q / %q", inc.Kernel, oracle.Kernel)
-					}
-					bnb, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: w}, Alpha: alpha})
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameAnswer(t, ctx(" bnb"), oracle, bnb)
-					if bnb.Kernel != "small-bnb" {
-						t.Fatalf("kernel label %q", bnb.Kernel)
-					}
-					incBig, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: w}, Alpha: alpha, NoPrune: true, forceBig: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameResult(t, ctx(" big"), oracle, incBig)
-					if incBig.Kernel != "big-incremental" {
-						t.Fatalf("kernel label %q", incBig.Kernel)
-					}
-					bnbBig, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: w}, Alpha: alpha, forceBig: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameAnswer(t, ctx(" big-bnb"), oracle, bnbBig)
-					if bnbBig.Kernel != "big-bnb" {
-						t.Fatalf("kernel label %q", bnbBig.Kernel)
-					}
+					sameSearch(t, label+" vs w=1", base, res)
 				}
 			}
 		}
@@ -109,7 +101,7 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 }
 
 // TestIncrementalMatchesRecomputeLargeN runs the differential check on the
-// genuine n > 64 path, where only the bitset kernels apply.
+// genuine n > 64 path, where only the bitset representation applies.
 func TestIncrementalMatchesRecomputeLargeN(t *testing.T) {
 	r := rng.New(68)
 	graphs := map[string]*graph.Graph{
@@ -122,89 +114,77 @@ func TestIncrementalMatchesRecomputeLargeN(t *testing.T) {
 			if obj == ObjWireless {
 				maxK = 2
 			}
+			oracle := oracleExact(g, obj, maxK, 1, true)
+			var base Result
 			for _, w := range []int{1, 4} {
-				opt := Options{RunOpts: runopts.RunOpts{Budget: 1 << 22, Workers: w}, MaxK: maxK, NoPrune: true}
-				inc, err1 := Exact(g, obj, opt)
-				opt.NoPrune, opt.Recompute = false, true
-				oracle, err2 := Exact(g, obj, opt)
-				opt.Recompute = false
-				bnb, err3 := Exact(g, obj, opt)
-				if err1 != nil || err2 != nil || err3 != nil {
-					t.Fatalf("%s %v: %v / %v / %v", name, obj, err1, err2, err3)
+				bnb, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Budget: 1 << 22, Workers: w}, MaxK: maxK})
+				if err != nil {
+					t.Fatalf("%s %v: %v", name, obj, err)
 				}
-				assertSameResult(t, name+" "+obj.String(), oracle, inc)
-				assertSameAnswer(t, name+" "+obj.String()+" bnb", oracle, bnb)
+				if bnb.Kernel != "big-bnb" {
+					t.Fatalf("%s %v: kernel %q", name, obj, bnb.Kernel)
+				}
+				assertSameAnswer(t, name+" "+obj.String(), oracle, bnb)
+				if w == 1 {
+					base = bnb
+				}
+				sameSearch(t, name+" "+obj.String()+" workers", base, bnb)
 			}
 		}
 	}
 }
 
-// TestIncrementalChunkBoundaries sweeps pool widths far beyond the chunk
-// count: every width induces a different chunk partition of the same rank
-// space, and all of them — incremental and recompute — must agree with the
-// serial recompute scan.
+// TestIncrementalChunkBoundaries sweeps chunkings of the oracle's rank
+// space and pool widths of the search far beyond the subproblem count:
+// every oracle chunking must reproduce the one-chunk walk exactly (Sets
+// included), and every pool width must reproduce the oracle's answer and
+// the serial search's counters.
 func TestIncrementalChunkBoundaries(t *testing.T) {
 	g := gen.ErdosRenyi(12, 0.3, rng.New(5))
 	for _, obj := range allObjectives {
-		serial, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: 1}, Alpha: 0.75, Recompute: true})
+		serial := oracleExact(g, obj, 9, 1, false)
+		base, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: 1}, Alpha: 0.75})
 		if err != nil {
 			t.Fatal(err)
 		}
+		assertSameAnswer(t, obj.String()+" bnb", serial, base)
 		for _, w := range []int{1, 2, 3, 5, 8, 13, 64, 512} {
-			inc, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: w}, Alpha: 0.75, NoPrune: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, obj.String(), serial, inc)
+			big := w%2 == 1 // odd piece counts walk the bitset evaluator
+			assertSameResult(t, fmt.Sprintf("%v oracle pieces=%d big=%v", obj, w, big),
+				serial, oracleExact(g, obj, 9, w, big))
 			bnb, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: w}, Alpha: 0.75})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameAnswer(t, obj.String()+" bnb", serial, bnb)
+			sameSearch(t, fmt.Sprintf("%v bnb w=%d", obj, w), base, bnb)
 		}
 	}
 }
 
-// TestBipartiteIncrementalMatchesRecompute checks the bipartite
-// by-cardinality kernel pair: identical values, witnesses and set counts,
-// and agreement with the Gray-code walk on the value (the Gray path's
-// tie-break differs by design, so witnesses are not compared against it).
+// TestBipartiteIncrementalMatchesRecompute checks the bipartite search
+// against the bipartite oracle: identical values and witnesses under a
+// size cap (the search path) at every pool width, worker-invariant
+// counters, and agreement of the Gray-code walk with the oracle on the
+// value and the set count (the Gray walk's first-minimizer tie-break
+// differs by design, so witnesses are not compared against it).
 func TestBipartiteIncrementalMatchesRecompute(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 5; trial++ {
 		s := 8 + trial*3
 		bg := gen.RandomBipartite(s, s+s/2, 0.25, r)
-		// A budget of exactly 2^s − 1 covers the full enumeration but fails
-		// the Gray-code gate (which needs 2^s), forcing the big path.
-		budget := uint64(1)<<uint(s) - 1
-		for _, w := range []int{1, 3, 16} {
-			inc, err1 := MinBipartiteExpansionOpts(bg, Options{RunOpts: runopts.RunOpts{Budget: budget, Workers: w}, NoPrune: true})
-			oracle, err2 := MinBipartiteExpansionOpts(bg, Options{RunOpts: runopts.RunOpts{Budget: budget, Workers: w}, Recompute: true})
-			if err1 != nil || err2 != nil {
-				t.Fatalf("s=%d: %v / %v", s, err1, err2)
-			}
-			if inc.Value != oracle.Value || inc.ArgSet != oracle.ArgSet || inc.Sets != oracle.Sets {
-				t.Fatalf("s=%d w=%d: (%g,%b,%d) != (%g,%b,%d)", s, w,
-					inc.Value, inc.ArgSet, inc.Sets, oracle.Value, oracle.ArgSet, oracle.Sets)
-			}
-			if !inc.Witness.Equal(oracle.Witness) {
-				t.Fatalf("s=%d w=%d: witness %v != %v", s, w, inc.Witness, oracle.Witness)
-			}
-			// The bipartite branch-and-bound (default under a MaxK cutoff)
-			// must agree with the flat path at the same cutoff — and its
-			// counters must be worker-invariant.
-			flat, err1 := MinBipartiteExpansionOpts(bg, Options{MaxK: s - 1, NoPrune: true})
-			bnb, err2 := MinBipartiteExpansionOpts(bg, Options{RunOpts: runopts.RunOpts{Workers: w}, MaxK: s - 1})
-			if err1 != nil || err2 != nil {
-				t.Fatalf("s=%d bnb: %v / %v", s, err1, err2)
-			}
-			if flat.Value != bnb.Value || flat.ArgSet != bnb.ArgSet || !flat.Witness.Equal(bnb.Witness) {
-				t.Fatalf("s=%d w=%d: flat (%g,%b) != bnb (%g,%b)", s, w,
-					flat.Value, flat.ArgSet, bnb.Value, bnb.ArgSet)
-			}
-			serial, err := MinBipartiteExpansionOpts(bg, Options{RunOpts: runopts.RunOpts{Workers: 1}, MaxK: s - 1})
+		oracle := oracleBipartite(bg, s-1)
+		var serial BipartiteResult
+		for _, w := range []int{1, 2, 8} {
+			bnb, err := MinBipartiteExpansionOpts(bg, Options{RunOpts: runopts.RunOpts{Workers: w}, MaxK: s - 1})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("s=%d w=%d: %v", s, w, err)
+			}
+			if oracle.Value != bnb.Value || oracle.ArgSet != bnb.ArgSet || !oracle.Witness.Equal(bnb.Witness) {
+				t.Fatalf("s=%d w=%d: oracle (%g,%b) != bnb (%g,%b)", s, w,
+					oracle.Value, oracle.ArgSet, bnb.Value, bnb.ArgSet)
+			}
+			if w == 1 {
+				serial = bnb
 			}
 			if serial.Sets != bnb.Sets || serial.Pruned != bnb.Pruned ||
 				serial.Visited != bnb.Visited || serial.SubtreesPruned != bnb.SubtreesPruned {
@@ -212,50 +192,64 @@ func TestBipartiteIncrementalMatchesRecompute(t *testing.T) {
 					bnb.Sets, bnb.Pruned, bnb.Visited, bnb.SubtreesPruned,
 					serial.Sets, serial.Pruned, serial.Visited, serial.SubtreesPruned)
 			}
+			if int64(bnb.Sets)+bnb.Pruned < int64(oracle.Sets) {
+				t.Fatalf("s=%d w=%d: bnb accounts for %d+%d sets < space %d", s, w, bnb.Sets, bnb.Pruned, oracle.Sets)
+			}
 		}
 		gray, err := MinBipartiteExpansion(bg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := MinBipartiteExpansionOpts(bg, Options{RunOpts: runopts.RunOpts{Budget: budget}, NoPrune: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gray.Value != inc.Value || gray.Sets != inc.Sets {
-			t.Fatalf("s=%d: big path (%g,%d) != gray walk (%g,%d)",
-				s, inc.Value, inc.Sets, gray.Value, gray.Sets)
+		full := oracleBipartite(bg, s)
+		if gray.Value != full.Value || gray.Sets != full.Sets {
+			t.Fatalf("s=%d: oracle (%g,%d) != gray walk (%g,%d)",
+				s, full.Value, full.Sets, gray.Value, gray.Sets)
 		}
 	}
 }
 
-// TestIncrementalHotLoopAllocs pins the arena design: once the worker pool
-// is warm, enumerating thousands of sets allocates (amortized) nothing per
-// set — the small kernel's chunk is fully allocation-free, the big
-// kernel's only escapes are its per-chunk witness hand-offs.
+// TestIncrementalHotLoopAllocs pins the arena design: on a warm arena, a
+// search leaf evaluating tens of thousands of sets allocates (amortized)
+// nothing per set — the uint64 leaves are allocation-free, the bitset
+// leaves allocate only the witness buffer that escapes into the result.
 func TestIncrementalHotLoopAllocs(t *testing.T) {
-	gSmall := gen.ErdosRenyi(24, 0.3, rng.New(7))
-	knSmall := newSmallIncKernel(gSmall, ObjOrdinary, true)
-	cSmall := chunk{k: 5, start: 0, count: 20000}
-	knSmall.run(cSmall) // warm the arena pool
-	const sets = 20000.0
-	if allocs := testing.AllocsPerRun(10, func() { knSmall.run(cSmall) }); allocs/sets > 0.001 {
-		t.Fatalf("small incremental kernel: %.1f allocs per %d-set chunk", allocs, int(sets))
-	}
-
-	gBig := gen.ErdosRenyi(72, 0.3, rng.New(8))
-	knBig := newBigIncKernel(gBig, ObjOrdinary, true)
-	cBig := chunk{k: 3, start: 0, count: 20000}
-	knBig.run(cBig)
-	// Steady state re-allocates only the escaping witness buffer (plus pool
-	// slack when a GC empties it mid-measurement).
-	if allocs := testing.AllocsPerRun(10, func() { knBig.run(cBig) }); allocs/sets > 0.001 {
-		t.Fatalf("big incremental kernel: %.1f allocs per %d-set chunk", allocs, int(sets))
+	for _, tc := range []struct {
+		name string
+		n    int
+		obj  Objective
+		k    int
+	}{
+		{"small-ordinary", 24, ObjOrdinary, 5},
+		{"small-edge", 24, ObjEdge, 5},
+		{"small-wireless", 24, ObjWireless, 3},
+		{"big-ordinary", 72, ObjOrdinary, 3},
+		{"big-unique", 72, ObjUnique, 3},
+		{"big-wireless", 72, ObjWireless, 3},
+	} {
+		g := gen.ErdosRenyi(tc.n, 0.3, rng.New(uint64(tc.n)))
+		gs := newGraphSearch(g, tc.obj, tc.k, Options{}, math.MaxUint64, true)
+		ar := gs.pool.Get().(*bnbArena)
+		sets := float64(binom(tc.n, tc.k))
+		leaf := func() {
+			var best chunkBest
+			if err := gs.leaf(&best, ar, nil, 0, tc.k, tc.k); err != nil {
+				t.Fatal(err)
+			}
+			if float64(best.sets)+float64(best.pruned) != sets {
+				t.Fatalf("%s: leaf covered %d+%d of %v sets", tc.name, best.sets, best.pruned, sets)
+			}
+		}
+		leaf() // warm the arena
+		if allocs := testing.AllocsPerRun(3, leaf); allocs/sets > 0.001 {
+			t.Fatalf("%s: %.1f allocs per %v-set leaf", tc.name, allocs, sets)
+		}
 	}
 }
 
 // FuzzExpansionKernels drives randomized graphs, objectives, size caps and
-// pool widths through both kernel families and requires bit-for-bit
-// agreement with the recompute oracle.
+// pool widths through every search path — the uint64 and bitset leaves,
+// the bipartite search, and the randomized tier with every stratum
+// exhaustive — and requires bit-for-bit agreement with the test oracle.
 func FuzzExpansionKernels(f *testing.F) {
 	f.Add(uint64(1), uint8(9), uint8(3), uint8(0), uint8(5), uint8(1))
 	f.Add(uint64(42), uint8(12), uint8(6), uint8(2), uint8(4), uint8(3))
@@ -270,43 +264,55 @@ func FuzzExpansionKernels(f *testing.F) {
 			alpha = 0.6 // bound the 2^k inner scan
 		}
 		workers := 1 + int(wRaw)%8
+		maxK := MaxSetSize(n, alpha)
+		if maxK == 0 {
+			return // α too small for a nonempty set
+		}
 		g := gen.ErdosRenyi(n, p, rng.New(seed))
-		oracle, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: workers}, Alpha: alpha, Recompute: true})
+		oracle := oracleExact(g, obj, maxK, 1, false)
+		assertSameResult(t, "big oracle "+obj.String(), oracle, oracleExact(g, obj, maxK, workers, true))
+		searchBoth(t, "fuzz "+obj.String(), g, obj, Options{RunOpts: runopts.RunOpts{Workers: workers}, MaxK: maxK}, oracle)
+
+		// The randomized tier with every stratum exhaustive is the search's
+		// leaves over whole strata: the oracle's answer and set count.
+		exhK := 0
+		for exhK < maxK && binom(n, exhK+1) <= randExhaustiveCutoff {
+			exhK++
+		}
+		rd, err := Randomized(g, obj, RandOptions{MaxK: exhK, RunOpts: runopts.RunOpts{Workers: workers, Seed: seed}})
 		if err != nil {
-			return // α too small for a nonempty set — same error on all paths
+			t.Fatalf("randomized: %v", err)
 		}
-		inc, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: workers}, Alpha: alpha, NoPrune: true})
+		exact := oracle
+		if exhK < maxK {
+			exact = oracleExact(g, obj, exhK, 1, false)
+		}
+		assertSameResult(t, "randomized "+obj.String(), exact, rd)
+		if rd.Cert.Kind != CertExact {
+			t.Fatalf("all-exhaustive randomized certified %q", rd.Cert.Kind)
+		}
+
+		// The bipartite search on the graph's first half against the rest
+		// (s ≥ 2, so a size cap below s routes it to the search).
+		s := n / 2
+		bb := graph.NewBipartiteBuilder(s, n-s)
+		for u := 0; u < s; u++ {
+			for _, v := range g.Neighbors(u) {
+				if int(v) >= s {
+					bb.MustAddEdge(u, int(v)-s)
+				}
+			}
+		}
+		bg := bb.Build()
+		bipK := min(maxK, s-1)
+		want := oracleBipartite(bg, bipK)
+		got, err := MinBipartiteExpansionOpts(bg, Options{RunOpts: runopts.RunOpts{Workers: workers}, MaxK: bipK})
 		if err != nil {
-			t.Fatalf("incremental errored where oracle ran: %v", err)
+			t.Fatalf("bipartite: %v", err)
 		}
-		assertSameResult(t, "small "+obj.String(), oracle, inc)
-		bnb, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: workers}, Alpha: alpha})
-		if err != nil {
-			t.Fatalf("branch-and-bound errored where oracle ran: %v", err)
+		if want.Value != got.Value || want.ArgSet != got.ArgSet || !want.Witness.Equal(got.Witness) {
+			t.Fatalf("bipartite s=%d k≤%d: oracle (%g,%b) != bnb (%g,%b)",
+				s, bipK, want.Value, want.ArgSet, got.Value, got.ArgSet)
 		}
-		assertSameAnswer(t, "small-bnb "+obj.String(), oracle, bnb)
-		incBig, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: workers}, Alpha: alpha, NoPrune: true, forceBig: true})
-		if err != nil {
-			t.Fatalf("big incremental errored: %v", err)
-		}
-		assertSameResult(t, "big "+obj.String(), oracle, incBig)
-		bnbBig, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: workers}, Alpha: alpha, forceBig: true})
-		if err != nil {
-			t.Fatalf("big branch-and-bound errored: %v", err)
-		}
-		assertSameAnswer(t, "big-bnb "+obj.String(), oracle, bnbBig)
-		// The two search representations must also agree on every counter —
-		// they walk the same tree.
-		if bnb.Sets != bnbBig.Sets || bnb.Pruned != bnbBig.Pruned ||
-			bnb.Visited != bnbBig.Visited || bnb.SubtreesPruned != bnbBig.SubtreesPruned {
-			t.Fatalf("bnb counters small(%d,%d,%d,%d) != big(%d,%d,%d,%d)",
-				bnb.Sets, bnb.Pruned, bnb.Visited, bnb.SubtreesPruned,
-				bnbBig.Sets, bnbBig.Pruned, bnbBig.Visited, bnbBig.SubtreesPruned)
-		}
-		oracleBig, err := Exact(g, obj, Options{RunOpts: runopts.RunOpts{Workers: workers}, Alpha: alpha, Recompute: true, forceBig: true})
-		if err != nil {
-			t.Fatalf("big recompute errored: %v", err)
-		}
-		assertSameResult(t, "big-recompute "+obj.String(), oracle, oracleBig)
 	})
 }

@@ -54,13 +54,12 @@ const DefaultBudget = 1 << 26
 // and MaxK must be positive.
 //
 // The common run-control knobs are the embedded runopts.RunOpts: Workers
-// is the pool width (results are bit-identical for every width — chunks
-// and subproblems are merged in a deterministic order with a
-// smallest-witness tie-break); Budget bounds the total work in enumeration
-// units (see DefaultBudget) — the flat paths refuse up front with the
-// required amount in the error, the branch-and-bound default charges as it
-// goes and aborts with an ErrBudget-wrapped error; Seed is ignored (the
-// engine is fully deterministic).
+// is the pool width (results and search counters are bit-identical for
+// every width — the search is split into fixed-shape subproblems merged in
+// index order with a smallest-witness tie-break); Budget bounds the total
+// work in enumeration units (see DefaultBudget) — the branch-and-bound
+// search charges as it goes and aborts with an ErrBudget-wrapped error;
+// Seed is ignored (the engine is fully deterministic).
 type Options struct {
 	runopts.RunOpts
 
@@ -69,37 +68,19 @@ type Options struct {
 	Alpha float64
 	// MaxK, when positive, caps |S| directly instead of via Alpha.
 	MaxK int
-	// NoPrune disables pruning entirely, selecting the flat incremental
-	// full enumeration. The answer never depends on pruning (only the
-	// Sets/Pruned/Visited counters do); the switch exists for cross-checks
-	// and measurement.
-	NoPrune bool
-	// Recompute forces the legacy full-recomputation kernels — the
-	// correctness oracle for the default revolving-door incremental kernels,
-	// exactly as radio's StepScalar is for its word-parallel step. Results
-	// are bit-identical either way; only speed and the scheduling-shaped
-	// Pruned counter differ.
-	Recompute bool
-	// Ctx, when non-nil, cancels the enumeration: workers observe it at
-	// chunk boundaries and the solve returns Ctx.Err(). A nil Ctx means
-	// run to completion.
+	// Ctx, when non-nil, cancels the search: workers observe it between
+	// subproblems and tree nodes, and the solve returns Ctx.Err(). A nil
+	// Ctx means run to completion.
 	Ctx context.Context
 
-	// forceBig routes graphs with n ≤ 64 through the large-n bitset kernel;
-	// a test hook for cross-validating the two paths.
+	// forceBig routes graphs with n ≤ 64 through the large-n bitset
+	// representation; a test hook for cross-validating the two paths.
 	forceBig bool
 }
 
-// chunk is one contiguous slice of the by-cardinality enumeration: `count`
-// k-combinations starting at colex rank `start`.
-type chunk struct {
-	k     int
-	start uint64
-	count uint64
-}
-
-// chunkBest is a worker's private best over one chunk. Exactly one of
-// set/setBig (and inner/innerBig) is meaningful, depending on the kernel.
+// chunkBest is the best set one subproblem (or one test-oracle chunk)
+// found, with its counters. Exactly one of set/setBig (and inner/innerBig)
+// is meaningful, depending on the representation.
 type chunkBest struct {
 	found    bool
 	num      int // objective numerator; the value is num / k
@@ -109,12 +90,13 @@ type chunkBest struct {
 	innerBig *bitset.Set
 	sets     int
 	pruned   int64
-	visited  int64 // search-tree nodes expanded (branch-and-bound only)
-	subtrees int64 // whole subtrees cut without a visit (branch-and-bound only)
+	visited  int64 // search-tree nodes expanded
+	subtrees int64 // whole subtrees cut without a visit
 }
 
 // engineOut is the raw per-cardinality outcome of a solve: perK[k] holds
-// the best set of size exactly k (chunks already merged deterministically).
+// the best set of size exactly k (subproblems already merged in index
+// order).
 type engineOut struct {
 	n        int
 	maxK     int
@@ -171,69 +153,6 @@ func Feasible(n, maxK int, obj Objective, budget uint64) bool {
 	return enumWork(n, maxK, obj) <= budget
 }
 
-// combinationMask returns the k-combination of {0..n-1} with colex rank r
-// as a uint64 mask (n ≤ 64). Colex rank order coincides with numeric mask
-// order, the order Gosper's hack enumerates.
-func combinationMask(n, k int, r uint64) uint64 {
-	var mask uint64
-	p := n - 1
-	for i := k; i >= 1; i-- {
-		for binom(p, i) > r {
-			p--
-		}
-		mask |= 1 << uint(p)
-		r -= binom(p, i)
-		p--
-	}
-	return mask
-}
-
-// combinationInto writes the colex-rank-r k-combination of {0..n-1} into s.
-func combinationInto(s *bitset.Set, n, k int, r uint64) {
-	s.Clear()
-	p := n - 1
-	for i := k; i >= 1; i-- {
-		for binom(p, i) > r {
-			p--
-		}
-		s.Add(p)
-		r -= binom(p, i)
-		p--
-	}
-}
-
-// gosperNext returns the next mask with the same popcount in increasing
-// numeric order (Gosper's hack). The caller guarantees a successor exists.
-func gosperNext(x uint64) uint64 {
-	u := x & (^x + 1)
-	v := x + u
-	return v | ((x ^ v) / u >> 2)
-}
-
-// makeChunks splits the by-cardinality enumeration into work-balanced
-// contiguous chunks. The chunk list depends only on (n, maxK, obj,
-// workers), never on scheduling, so the deterministic merge sees a fixed
-// partition.
-func makeChunks(n, maxK int, obj Objective, totalWork uint64, workers int) []chunk {
-	target := totalWork/uint64(workers*8) + 1
-	var chunks []chunk
-	for k := 1; k <= maxK; k++ {
-		ck := binom(n, k)
-		per := target / setCost(obj, k)
-		if per < 1 {
-			per = 1
-		}
-		for start := uint64(0); start < ck; start += per {
-			cnt := per
-			if cnt > ck-start {
-				cnt = ck - start
-			}
-			chunks = append(chunks, chunk{k: k, start: start, count: cnt})
-		}
-	}
-	return chunks
-}
-
 // poolWidth is the default worker-pool width.
 func poolWidth() int {
 	if w := runtime.GOMAXPROCS(0); w > 1 {
@@ -242,47 +161,59 @@ func poolWidth() int {
 	return 1
 }
 
-// runPool fans the chunks over `workers` goroutines pulling from an atomic
-// cursor. Output is indexed by chunk, so scheduling order is invisible to
-// the merge. Cancellation is observed between chunks: a cancelled pool
-// stops promptly and returns ctx.Err() (partial output is discarded by the
-// caller).
-func runPool(ctx context.Context, chunks []chunk, workers int, run func(chunk) chunkBest) ([]chunkBest, error) {
-	out := make([]chunkBest, len(chunks))
-	cancelled := func() bool { return ctx != nil && ctx.Err() != nil }
-	if workers > len(chunks) {
-		workers = len(chunks)
+// runPool runs task(0), …, task(tasks−1) over `workers` goroutines pulling
+// indices from an atomic cursor — the one worker pool of the exact search
+// and the randomized tier. Tasks write their output by index, so the
+// scheduling order is invisible to the caller's merge. The pool stops
+// early on cancellation, returning ctx.Err(), or on the first task error,
+// returning it (partial output is discarded by the caller).
+func runPool(ctx context.Context, tasks, workers int, task func(i int) error) error {
+	var (
+		failed   atomic.Bool
+		errMu    sync.Mutex
+		firstErr error
+	)
+	stopped := func() bool { return failed.Load() || (ctx != nil && ctx.Err() != nil) }
+	run := func(i int) {
+		if err := task(i); err != nil {
+			errMu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			errMu.Unlock()
+			failed.Store(true)
+		}
+	}
+	if workers > tasks {
+		workers = tasks
 	}
 	if workers <= 1 {
-		for i, c := range chunks {
-			if cancelled() {
-				return nil, ctx.Err()
-			}
-			out[i] = run(c)
+		for i := 0; i < tasks && !stopped(); i++ {
+			run(i)
 		}
-		return out, nil
-	}
-	var cursor atomic.Int64
-	cursor.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !cancelled() {
-				i := int(cursor.Add(1))
-				if i >= len(chunks) {
-					return
+	} else {
+		var cursor atomic.Int64
+		cursor.Store(-1)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stopped() {
+					i := int(cursor.Add(1))
+					if i >= tasks {
+						return
+					}
+					run(i)
 				}
-				out[i] = run(chunks[i])
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	if cancelled() {
-		return nil, ctx.Err()
+	if ctx != nil && ctx.Err() != nil {
+		return ctx.Err()
 	}
-	return out, nil
+	return firstErr
 }
 
 // witnessLess orders two found chunkBests by their witness set's numeric
@@ -295,12 +226,9 @@ func witnessLess(a, b *chunkBest) bool {
 	return a.set < b.set
 }
 
-// solve runs the engine. The default path is the branch-and-bound search
-// tree (bnb.go); Options.Recompute selects the flat recompute oracle and
-// Options.NoPrune the flat incremental full enumeration, both of which
-// keep the legacy rank-interval chunking and its up-front budget refusal.
-// perKBests selects per-cardinality incumbents for the search (Profile
-// needs the exact best at every k) over the stronger global-ratio
+// solve validates the size cap and runs the branch-and-bound search
+// (bnb.go). perKBests selects per-cardinality incumbents for the search
+// (Profile needs the exact best at every k) over the stronger global-ratio
 // incumbent (Exact only needs the overall minimum).
 func solve(g *graph.Graph, obj Objective, maxK int, opt Options, perKBests bool) (*engineOut, error) {
 	n := g.N()
@@ -311,54 +239,14 @@ func solve(g *graph.Graph, obj Objective, maxK int, opt Options, perKBests bool)
 	if budget == 0 {
 		budget = DefaultBudget
 	}
-	if !opt.Recompute && !opt.NoPrune {
-		return bnbSolve(g, obj, maxK, opt, budget, perKBests)
-	}
-	work := enumWork(n, maxK, obj)
-	if work > budget {
-		return nil, fmt.Errorf("expansion: exact %v enumeration on n=%d (|S| ≤ %d) needs %d work units, budget is %d; raise Options.Budget or lower α",
-			obj, n, maxK, work, budget)
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = poolWidth()
-	}
-	chunks := makeChunks(n, maxK, obj, work, workers)
-	var run func(chunk) chunkBest
-	var kernel string
-	switch small := n <= 64 && !opt.forceBig; {
-	case small && opt.Recompute:
-		kn := newSmallKernel(g, obj, !opt.NoPrune)
-		run, kernel = kn.run, "small-recompute"
-	case small:
-		kn := newSmallIncKernel(g, obj, !opt.NoPrune)
-		run, kernel = kn.run, "small-incremental"
-	case opt.Recompute:
-		kn := newBigKernel(g, obj, !opt.NoPrune)
-		run, kernel = kn.run, "big-recompute"
-	default:
-		kn := newBigIncKernel(g, obj, !opt.NoPrune)
-		run, kernel = kn.run, "big-incremental"
-	}
-	results, err := runPool(opt.Ctx, chunks, workers, run)
+	gs := newGraphSearch(g, obj, maxK, opt, budget, perKBests)
+	out, err := gs.solve()
 	if err != nil {
 		return nil, err
 	}
-	out := &engineOut{n: n, maxK: maxK, kernel: kernel, perK: make([]chunkBest, maxK+1)}
-	for i, r := range results {
-		out.sets += r.sets
-		out.prun += r.pruned
-		if !r.found {
-			continue
-		}
-		k := chunks[i].k
-		best := &out.perK[k]
-		if !best.found || r.num < best.num ||
-			(r.num == best.num && witnessLess(&r, best)) {
-			out.perK[k] = r
-			// Per-chunk counters were already folded into the totals.
-			out.perK[k].sets, out.perK[k].pruned = 0, 0
-		}
+	out.kernel = "big-bnb"
+	if gs.small {
+		out.kernel = "small-bnb"
 	}
 	return out, nil
 }
@@ -431,63 +319,22 @@ func fromMask(n int, m uint64) *bitset.Set {
 	return s
 }
 
-// --- Small kernel: n ≤ 64, uint64 adjacency masks ---------------------------
+// --- Single-set evaluators ---------------------------------------------------
+//
+// smallKernel and bigKernel evaluate one candidate set from scratch. The
+// search's seed pass and the randomized tier's trials call them; the
+// search's leaves maintain the same numerators incrementally (leaves.go), and
+// the test oracle (oracle_test.go) walks them over every set.
 
+// smallKernel evaluates sets of a graph with n ≤ 64 from uint64 adjacency
+// masks.
 type smallKernel struct {
 	masks []uint64
-	deg   []int
 	obj   Objective
-	n     int
-	prune bool
 }
 
-func newSmallKernel(g *graph.Graph, obj Objective, prune bool) *smallKernel {
-	n := g.N()
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-	}
-	// βu admits no degree-based lower bound (unique coverage can vanish for
-	// any degrees), so pruning is ordinary/wireless/edge only.
-	return &smallKernel{masks: adjMasks(g), deg: deg, obj: obj, n: n, prune: prune && obj != ObjUnique}
-}
-
-// lowerBoundSmall is the branch-and-bound floor: any v ∈ S has at least
-// deg(v) − (|S|−1) neighbors outside S, each contributing ≥ 1 to |Γ⁻(S)|,
-// to the wireless inner max (take S' = {v}), and to the edge cut.
-func (kn *smallKernel) lowerBoundSmall(S uint64, k int) int {
-	maxDeg := 0
-	for rest := S; rest != 0; rest &= rest - 1 {
-		if d := kn.deg[bits.TrailingZeros64(rest)]; d > maxDeg {
-			maxDeg = d
-		}
-	}
-	return maxDeg - (k - 1)
-}
-
-func (kn *smallKernel) run(c chunk) chunkBest {
-	best := chunkBest{}
-	S := combinationMask(kn.n, c.k, c.start)
-	for i := uint64(0); ; {
-		best.sets++
-		if kn.prune && best.found && kn.lowerBoundSmall(S, c.k) > best.num {
-			best.pruned++
-		} else {
-			num, inner := kn.eval(S)
-			// Strict improvement keeps the first — numerically smallest —
-			// witness within the chunk, matching the legacy serial scan.
-			if !best.found || num < best.num {
-				best.found = true
-				best.num = num
-				best.set = S
-				best.inner = inner
-			}
-		}
-		if i++; i >= c.count {
-			return best
-		}
-		S = gosperNext(S)
-	}
+func newSmallKernel(g *graph.Graph, obj Objective) *smallKernel {
+	return &smallKernel{masks: adjMasks(g), obj: obj}
 }
 
 func (kn *smallKernel) eval(S uint64) (num int, inner uint64) {
@@ -512,80 +359,27 @@ func (kn *smallKernel) eval(S uint64) (num int, inner uint64) {
 	panic("expansion: unknown objective")
 }
 
-// --- Big kernel: any n, bitset adjacency -------------------------------------
-
+// bigKernel evaluates sets of a graph of any size from bitset adjacency
+// rows.
 type bigKernel struct {
-	adj   []*bitset.Set
-	deg   []int
-	obj   Objective
-	n     int
-	prune bool
+	adj []*bitset.Set
+	obj Objective
 }
 
-func newBigKernel(g *graph.Graph, obj Objective, prune bool) *bigKernel {
+func newBigKernel(g *graph.Graph, obj Objective) *bigKernel {
 	n := g.N()
 	adj := make([]*bitset.Set, n)
-	deg := make([]int, n)
 	for v := 0; v < n; v++ {
 		adj[v] = bitset.New(n)
 		for _, w := range g.Neighbors(v) {
 			adj[v].Add(int(w))
 		}
-		deg[v] = g.Degree(v)
 	}
-	return &bigKernel{adj: adj, deg: deg, obj: obj, n: n, prune: prune && obj != ObjUnique}
+	return &bigKernel{adj: adj, obj: obj}
 }
 
-// run enumerates the chunk with per-chunk scratch (kernels are shared
-// across workers; scratch is not). Witnesses land in chunk-lifetime arena
-// buffers via Copy — one allocation per chunk that found a best, not one
-// per improvement.
-func (kn *bigKernel) run(c chunk) chunkBest {
-	S := bitset.New(kn.n)
-	combinationInto(S, kn.n, c.k, c.start)
-	sc := &bigScratch{
-		members: make([]int, 0, c.k),
-		once:    bitset.New(kn.n),
-		twice:   bitset.New(kn.n),
-		tmp:     bitset.New(kn.n),
-	}
-	var setBuf, innerBuf *bitset.Set
-	best := chunkBest{}
-	for i := uint64(0); ; {
-		best.sets++
-		sc.members = S.AppendIndices(sc.members[:0])
-		if kn.prune && best.found && kn.lowerBoundBig(sc.members, c.k) > best.num {
-			best.pruned++
-		} else {
-			num, innerSub := kn.eval(S, sc)
-			if !best.found || num < best.num {
-				best.found = true
-				best.num = num
-				if setBuf == nil {
-					setBuf = bitset.New(kn.n)
-				}
-				setBuf.Copy(S)
-				best.setBig = setBuf
-				if innerSub == 0 {
-					best.innerBig = nil
-				} else {
-					if innerBuf == nil {
-						innerBuf = bitset.New(kn.n)
-					}
-					expandSubInto(innerBuf, innerSub, sc.members)
-					best.innerBig = innerBuf
-				}
-			}
-		}
-		if i++; i >= c.count {
-			return best
-		}
-		if !S.NextCombination() {
-			return best
-		}
-	}
-}
-
+// bigScratch is the per-caller scratch of a bigKernel evaluation: members
+// holds the sorted members of the set being evaluated.
 type bigScratch struct {
 	members []int
 	once    *bitset.Set
@@ -593,14 +387,8 @@ type bigScratch struct {
 	tmp     *bitset.Set
 }
 
-func (kn *bigKernel) lowerBoundBig(members []int, k int) int {
-	maxDeg := 0
-	for _, v := range members {
-		if kn.deg[v] > maxDeg {
-			maxDeg = kn.deg[v]
-		}
-	}
-	return maxDeg - (k - 1)
+func newBigScratch(n int) *bigScratch {
+	return &bigScratch{once: bitset.New(n), twice: bitset.New(n), tmp: bitset.New(n)}
 }
 
 // eval returns the objective numerator for S and, for βw, the maximizing
@@ -638,8 +426,8 @@ func (kn *bigKernel) eval(S *bitset.Set, sc *bigScratch) (num int, innerSub uint
 	panic("expansion: unknown objective")
 }
 
-// wirelessScanBig is the βw inner optimization shared by the recompute and
-// incremental big kernels: max over S' ⊆ S of |Γ¹_S(S')| plus the
+// wirelessScanBig is the βw inner optimization shared by bigKernel.eval and
+// the search's bitset leaves: max over S' ⊆ S of |Γ¹_S(S')| plus the
 // maximizing subset as a compressed mask over sc.members. The submask
 // order (descending) matches WirelessOfSet, so the first strict max — and
 // hence the inner witness — matches the small kernel bit-for-bit on graphs

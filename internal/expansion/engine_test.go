@@ -1,6 +1,7 @@
 package expansion
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"testing"
@@ -138,45 +139,50 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestDegeneratePoolRanges: tiny graphs with pool widths far above the
-// chunk count — the regression class of the legacy parallel.go, where a
-// chunk boundary could produce lo ≥ hi.
+// subproblem count — the regression class of an early hand-partitioned
+// parallel solver, where a range boundary could produce lo ≥ hi. βu never
+// prunes and has no seed pass, so its Sets count is the whole space — the
+// property the partition must preserve; βw must match the oracle.
 func TestDegeneratePoolRanges(t *testing.T) {
 	for n := 3; n <= 6; n++ {
 		g := gen.Cycle(n)
+		oracle := oracleExact(g, ObjWireless, n, 1, false)
 		for _, w := range []int{1, 7, 16, 1024} {
-			// NoPrune selects the flat full enumeration, whose Sets count is
-			// the whole space — the property the pool partition must preserve.
-			res, err := Exact(g, ObjWireless, Options{RunOpts: runopts.RunOpts{Workers: w}, Alpha: 1, NoPrune: true})
+			opt := Options{RunOpts: runopts.RunOpts{Workers: w}, Alpha: 1}
+			res, err := Exact(g, ObjUnique, opt)
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, w, err)
 			}
 			want := (1 << uint(n)) - 1 // all nonempty subsets
-			if res.Sets != want {
-				t.Fatalf("n=%d workers=%d: enumerated %d sets, want %d", n, w, res.Sets, want)
+			if res.Sets != want || res.Pruned != 0 {
+				t.Fatalf("n=%d workers=%d: enumerated %d sets (pruned %d), want %d", n, w, res.Sets, res.Pruned, want)
 			}
+			resW, err := Exact(g, ObjWireless, opt)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, w, err)
+			}
+			assertSameAnswer(t, fmt.Sprintf("n=%d workers=%d", n, w), oracle, resW)
 		}
 	}
 }
 
 // TestPruningIsInvisible: the branch-and-bound search must change only the
-// counters (Sets/Pruned/Visited are search-shaped), never the answer.
+// counters (Sets/Pruned/Visited are search-shaped), never the answer of
+// the non-pruning test oracle.
 func TestPruningIsInvisible(t *testing.T) {
 	r := rng.New(7)
 	pruned := false
 	for trial := 0; trial < 10; trial++ {
 		g := gen.ErdosRenyi(12, 0.4, r)
 		for _, obj := range []Objective{ObjOrdinary, ObjWireless, ObjEdge} {
-			on, err1 := Exact(g, obj, Options{Alpha: 0.5})
-			off, err2 := Exact(g, obj, Options{Alpha: 0.5, NoPrune: true})
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%v / %v", err1, err2)
+			on, err := Exact(g, obj, Options{Alpha: 0.5})
+			if err != nil {
+				t.Fatal(err)
 			}
+			off := oracleExact(g, obj, 6, 1, false)
 			if on.Value != off.Value || on.ArgSet != off.ArgSet ||
 				on.ArgInner != off.ArgInner {
 				t.Fatalf("trial %d %v: pruning changed the result", trial, obj)
-			}
-			if off.Pruned != 0 {
-				t.Fatalf("NoPrune still pruned %d sets", off.Pruned)
 			}
 			if on.Sets+int(min64(on.Pruned, 1<<40)) < off.Sets {
 				t.Fatalf("trial %d %v: bnb accounted for %d+%d sets, full space is %d",
@@ -230,8 +236,8 @@ func TestEnumWorkAndBinom(t *testing.T) {
 	}
 }
 
-// TestCombinationUnranking pins the colex unranking both kernels seed
-// chunks with: walking rank-by-rank must agree with Gosper enumeration.
+// TestCombinationUnranking pins the colex unranking the test oracle seeds
+// its chunks with: walking rank-by-rank must agree with Gosper enumeration.
 func TestCombinationUnranking(t *testing.T) {
 	const n, k = 10, 4
 	mask := uint64(1)<<k - 1 // first combination

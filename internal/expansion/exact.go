@@ -21,23 +21,22 @@ type Result struct {
 	Witness      *bitset.Set // minimizing set S, any n
 	InnerWitness *bitset.Set // for βw: the maximizing S' ⊆ S; nil otherwise
 
-	// Pruned counts candidate sets skipped without evaluation: on the
-	// default branch-and-bound path, sets inside subtrees cut by the bound
-	// plus per-set floor skips inside leaves; on the flat paths, per-set
-	// floor skips only. Saturates at MaxInt64 (a single pruned subtree can
-	// cover more sets than int64 holds). Deterministic at every worker
-	// count — the search partitions work by instance shape, not schedule.
+	// Pruned counts candidate sets skipped without evaluation: sets inside
+	// subtrees cut by the bound plus per-set floor skips inside leaves.
+	// Saturates at MaxInt64 (a single pruned subtree can cover more sets
+	// than int64 holds). Deterministic at every worker count — the search
+	// partitions work by instance shape, not schedule.
 	Pruned int64
 
-	// Visited counts search-tree nodes expanded by the branch-and-bound
-	// path (0 on the flat paths); SubtreesPruned counts whole subtrees cut
-	// without a visit. Both are worker-invariant like Pruned.
+	// Visited counts search-tree nodes expanded; SubtreesPruned counts
+	// whole subtrees cut without a visit. Both are worker-invariant like
+	// Pruned.
 	Visited        int64
 	SubtreesPruned int64
 
-	// Kernel names the enumeration kernel that produced the result
-	// (small|big × bnb|incremental|recompute, or randomized-ppsz) —
-	// observability only (it feeds wexpd's /metrics); every kernel returns
+	// Kernel names the representation that produced the result (small-bnb
+	// for n ≤ 64, big-bnb otherwise, or randomized-ppsz) — observability
+	// only (it feeds wexpd's /metrics); both search representations return
 	// bit-identical results.
 	Kernel string
 
@@ -46,10 +45,10 @@ type Result struct {
 	Cert Certificate
 }
 
-// Exact computes the chosen expansion objective exactly, enumerating
-// candidate sets by cardinality under opt's work budget, fanned over the
-// deterministic worker pool. Any n is accepted as long as the enumeration
-// fits the budget.
+// Exact computes the chosen expansion objective exactly with the
+// branch-and-bound search (bnb.go) under opt's work budget, fanned over the
+// deterministic worker pool. Any n is accepted as long as the search fits
+// the budget.
 func Exact(g *graph.Graph, obj Objective, opt Options) (Result, error) {
 	n := g.N()
 	maxK := opt.MaxK

@@ -181,10 +181,10 @@ func TestExactUniqueMatchesBitsetGamma1(t *testing.T) {
 }
 
 func TestExactBudgetLimits(t *testing.T) {
-	// Σ C(30,k≤15) ≈ 5.4e8 work units exceeds the default budget, so the
-	// flat paths refuse up front...
-	if _, err := Exact(gen.Cycle(30), ObjOrdinary, Options{Alpha: 0.5, Recompute: true}); err == nil {
-		t.Fatal("n=30 α=0.5 accepted by the flat path under default budget")
+	// Σ C(30,k≤15) ≈ 5.4e8 work units exceeds the default budget, so a full
+	// enumeration is infeasible...
+	if Feasible(30, 15, ObjOrdinary, 0) {
+		t.Fatal("n=30 α=0.5 enumeration reported feasible under default budget")
 	}
 	// ...while the branch-and-bound search cuts the space down and finishes
 	// the same instance inside it: β(C30, k ≤ 15) = 2/15 (a contiguous arc).
@@ -195,7 +195,8 @@ func TestExactBudgetLimits(t *testing.T) {
 	if math.Abs(res.Value-2.0/15) > 1e-12 {
 		t.Fatalf("β(C30, k ≤ 15) = %g, want 2/15", res.Value)
 	}
-	// A smaller α fits even the flat paths (the cutoff shrinks the space).
+	// A smaller α fits even a full enumeration (the cutoff shrinks the
+	// space).
 	res, err = ExactOrdinary(gen.Cycle(30), 0.1)
 	if err != nil {
 		t.Fatalf("n=30 α=0.1 rejected: %v", err)
@@ -245,5 +246,27 @@ func TestResultArgSetConsistency(t *testing.T) {
 	got := float64(inner) / float64(bits.OnesCount64(res.ArgSet))
 	if math.Abs(got-res.Value) > 1e-12 {
 		t.Fatalf("witness reproduces %g, reported %g", got, res.Value)
+	}
+}
+
+// TestExactWirelessKnownValues pins βw on graphs with known answers and
+// the solver's input validation.
+func TestExactWirelessKnownValues(t *testing.T) {
+	res, err := ExactWireless(gen.Complete(8), 0.5)
+	if err != nil || res.Value != 1 {
+		t.Fatalf("βw(K8) = %g, %v", res.Value, err)
+	}
+	res, err = ExactWireless(gen.CPlus(6), 0.45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Value <= 0 {
+		t.Fatalf("βw(C+) = %g, want > 0", res.Value)
+	}
+	if _, err := ExactWireless(gen.Cycle(26), 0.5); err == nil {
+		t.Fatal("budget-exceeding graph accepted")
+	}
+	if _, err := ExactWireless(gen.Cycle(8), 0); err == nil {
+		t.Fatal("alpha=0 accepted")
 	}
 }

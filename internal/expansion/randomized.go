@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"wexp/internal/bitset"
 	"wexp/internal/graph"
@@ -14,7 +13,7 @@ import (
 	"wexp/internal/runopts"
 )
 
-// Randomized certified solver for the infeasible regime (tier three of the
+// Randomized certified solver for the infeasible regime (tier two of the
 // wexp fallback gate, between exact branch-and-bound and the crude
 // estimators).
 //
@@ -38,9 +37,10 @@ import (
 //     harness must agree bit-for-bit).
 //
 // Strata small enough to enumerate (C(n,k) ≤ randExhaustiveCutoff) are
-// scanned exhaustively with the flat incremental kernels instead of being
-// sampled, so their contribution to the failure probability is exactly
-// zero; when every stratum is exhaustive the result is exact and says so.
+// scanned exhaustively instead of being sampled — each is exactly one leaf
+// of the exact search (bnb.go) — so their contribution to the failure
+// probability is exactly zero; when every stratum is exhaustive the result
+// is exact and says so.
 // Before the search, a stratified sampling pass draws uniform k-sets per
 // stratum through the revolving-door rank bijection (rank → set) and
 // evaluates them exactly, seeding the bracket's upper end; the certificate
@@ -57,8 +57,8 @@ import (
 // therefore bit-identical at any Workers setting.
 const (
 	// randExhaustiveCutoff is the largest C(n,k) scanned exhaustively
-	// instead of sampled; matches the branch-and-bound leafCap.
-	randExhaustiveCutoff = 2048
+	// instead of sampled: a stratum this small is one search leaf.
+	randExhaustiveCutoff = leafCap
 	// randTrialSuccess is p*: the modeled per-trial success probability at
 	// a stratum containing a below-θ set (see the package comment above).
 	randTrialSuccess = 0.25
@@ -109,22 +109,14 @@ type RandOptions struct {
 	Ctx context.Context
 }
 
-// randEngine holds the immutable per-solve state.
+// randEngine holds the immutable per-solve state. It embeds the exact
+// search's graph problem for its single-set evaluators, its degrees, and
+// the leaves that scan the exhaustive strata.
 type randEngine struct {
-	g    *graph.Graph
-	obj  Objective
-	n    int
-	maxK int
+	*graphSearch
 
-	seed    uint64
-	salt    uint64
-	workers int
-	ctx     context.Context
-
-	small   bool
-	smallKn *smallKernel // single-set oracle (n ≤ 64)
-	bigKn   *bigKernel   // single-set oracle (any n)
-	deg     []int
+	seed uint64
+	salt uint64
 
 	trialsPerDecision int
 
@@ -180,7 +172,7 @@ func (a *randCandidate) better(b *randCandidate) bool {
 // The planned work — exhaustive scans, sampling pass, and the worst-case
 // trial schedule — is priced up front against Budget in the engine's usual
 // units; an infeasible plan refuses with an ErrBudget-wrapped error before
-// any work runs, like the flat exact paths.
+// any work runs.
 func Randomized(g *graph.Graph, obj Objective, opt RandOptions) (Result, error) {
 	n := g.N()
 	maxK := opt.MaxK
@@ -273,26 +265,16 @@ func Randomized(g *graph.Graph, obj Objective, opt RandOptions) (Result, error) 
 	}
 
 	e := &randEngine{
-		g: g, obj: obj, n: n, maxK: maxK,
-		seed: opt.Seed, salt: rng.Salt("expansion/randomized"),
-		workers: workers, ctx: opt.Ctx,
-		small:             n <= 64,
-		deg:               make([]int, n),
+		graphSearch:       newGraphSearch(g, obj, maxK, Options{}, budget, true),
+		seed:              opt.Seed,
+		salt:              rng.Salt("expansion/randomized"),
 		trialsPerDecision: trialsPer,
-	}
-	for v := 0; v < n; v++ {
-		e.deg[v] = g.Degree(v)
-	}
-	if e.small {
-		e.smallKn = newSmallKernel(g, obj, false)
-	} else {
-		e.bigKn = newBigKernel(g, obj, false)
 	}
 	e.scratch.New = func() any {
 		sc := &randScratch{rd: &bitset.RevolvingDoor{}}
 		if !e.small {
 			sc.S = bitset.New(n)
-			sc.sc = &bigScratch{once: bitset.New(n), twice: bitset.New(n), tmp: bitset.New(n)}
+			sc.sc = newBigScratch(n)
 		}
 		return sc
 	}
@@ -303,33 +285,32 @@ func Randomized(g *graph.Graph, obj Objective, opt RandOptions) (Result, error) 
 		totalTrial int
 	)
 
-	// Phase 1 — exhaustive strata: full flat-kernel scans, one pool task
-	// per stratum, merged in stratum order.
-	var exhChunks []chunk
+	// Phase 1 — exhaustive strata: each is one search leaf (empty prefix,
+	// no seed incumbent), one pool task per stratum, merged in stratum
+	// order. Sets skipped by a leaf's per-set floor count as scanned, so
+	// Sets covers every set of the stratum.
+	var exh []int
 	for _, st := range strata {
 		if st.exhaustive {
-			exhChunks = append(exhChunks, chunk{k: st.k, start: 0, count: st.count})
+			exh = append(exh, st.k)
 		}
 	}
-	if len(exhChunks) > 0 {
-		var run func(chunk) chunkBest
-		if e.small {
-			run = newSmallIncKernel(g, obj, true).run
-		} else {
-			run = newBigIncKernel(g, obj, true).run
-		}
-		outs, err := runPool(opt.Ctx, exhChunks, workers, run)
-		if err != nil {
-			return Result{}, err
-		}
-		for i, r := range outs {
-			totalSets += r.sets
-			if r.found {
-				cand := randCandidate{found: true, k: exhChunks[i].k, best: r}
-				cand.best.sets, cand.best.pruned = 0, 0
-				if cand.better(&best) {
-					best = cand
-				}
+	exhOuts := make([]chunkBest, len(exh))
+	err := runPool(opt.Ctx, len(exh), workers, func(i int) error {
+		ar := e.pool.Get().(*bnbArena)
+		defer e.pool.Put(ar)
+		return e.leaf(&exhOuts[i], ar, nil, 0, exh[i], exh[i])
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	for i, r := range exhOuts {
+		totalSets += r.sets + int(r.pruned)
+		if r.found {
+			cand := randCandidate{found: true, k: exh[i], best: r}
+			cand.best.sets, cand.best.pruned = 0, 0
+			if cand.better(&best) {
+				best = cand
 			}
 		}
 	}
@@ -365,7 +346,7 @@ func Randomized(g *graph.Graph, obj Objective, opt RandOptions) (Result, error) 
 	}
 	sOuts := make([]randCandidate, len(sTasks))
 	sSets := make([]int, len(sTasks))
-	err := e.pool(len(sTasks), func(i int) {
+	err = runPool(opt.Ctx, len(sTasks), workers, func(i int) error {
 		t := sTasks[i]
 		sc := e.scratch.Get().(*randScratch)
 		defer e.scratch.Put(sc)
@@ -382,6 +363,7 @@ func Randomized(g *graph.Graph, obj Objective, opt RandOptions) (Result, error) 
 			}
 		}
 		sOuts[i] = cand
+		return nil
 	})
 	if err != nil {
 		return Result{}, err
@@ -416,13 +398,14 @@ func Randomized(g *graph.Graph, obj Objective, opt RandOptions) (Result, error) 
 	tSets := make([]int, sampled*trialsPer)
 	for step := 0; step < steps && hi-lo > resolution; step++ {
 		theta := lo + (hi-lo)/2
-		err := e.pool(len(tOuts), func(i int) {
+		err := runPool(opt.Ctx, len(tOuts), workers, func(i int) error {
 			st := sampledStrata[i/trialsPer]
 			trial := i % trialsPer
 			sc := e.scratch.Get().(*randScratch)
 			defer e.scratch.Put(sc)
 			stream := e.stream(2, st.k, step, trial)
 			tOuts[i], tSets[i] = e.trial(sc, stream, st.k, theta)
+			return nil
 		})
 		if err != nil {
 			return Result{}, err
@@ -499,54 +482,13 @@ func fnvMix(h, x uint64) uint64 {
 	return h
 }
 
-// pool runs fn(0..tasks-1) over the worker pool with an atomic cursor.
-// Every task always executes (short of cancellation): no early exit, so
-// counters folded per task are scheduling-independent.
-func (e *randEngine) pool(tasks int, fn func(int)) error {
-	cancelled := func() bool { return e.ctx != nil && e.ctx.Err() != nil }
-	workers := e.workers
-	if workers > tasks {
-		workers = tasks
-	}
-	if workers <= 1 {
-		for i := 0; i < tasks; i++ {
-			if cancelled() {
-				return e.ctx.Err()
-			}
-			fn(i)
-		}
-		return nil
-	}
-	var cursor atomic.Int64
-	cursor.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !cancelled() {
-				i := int(cursor.Add(1))
-				if i >= tasks {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled() {
-		return e.ctx.Err()
-	}
-	return nil
-}
-
 // evalRank exactly evaluates the k-set at revolving-door rank r, returning
 // its numerator and a witness-carrying chunkBest.
 func (e *randEngine) evalRank(sc *randScratch, k int, rank uint64) (int, chunkBest) {
 	sc.rd.Reset(e.n, k, rank)
 	if e.small {
 		S := sc.rd.Mask()
-		num, inner := e.smallKn.eval(S)
+		num, inner := e.evalSmall.eval(S)
 		return num, chunkBest{found: true, num: num, set: S, inner: inner}
 	}
 	if sc.S == nil {
@@ -555,7 +497,7 @@ func (e *randEngine) evalRank(sc *randScratch, k int, rank uint64) (int, chunkBe
 	sc.rd.FillSet(sc.S)
 	sc.members = sc.S.AppendIndices(sc.members[:0])
 	sc.sc.members = sc.members
-	num, innerSub := e.bigKn.eval(sc.S, sc.sc)
+	num, innerSub := e.evalBig.eval(sc.S, sc.sc)
 	cb := chunkBest{found: true, num: num, setBig: bitset.New(e.n)}
 	cb.setBig.Copy(sc.S)
 	if innerSub != 0 {
@@ -602,12 +544,12 @@ func (e *randEngine) trial(sc *randScratch, stream *rng.RNG, k int, theta float6
 		// whether the inclusion sticks.
 		evals++
 		if e.small {
-			return e.smallKn.eval(maskS | 1<<uint(v))
+			return e.evalSmall.eval(maskS | 1<<uint(v))
 		}
 		sc.S.Add(v)
 		insertMember(&sc.members, v)
 		sc.sc.members = sc.members
-		return e.bigKn.eval(sc.S, sc.sc)
+		return e.evalBig.eval(sc.S, sc.sc)
 	}
 	reject := func(v int) {
 		if !e.small {
@@ -696,7 +638,7 @@ func (e *randEngine) trial(sc *randScratch, stream *rng.RNG, k int, theta float6
 				var sub uint64
 				if e.small {
 					cand := maskS&^(1<<uint(u)) | 1<<uint(v)
-					newNum, sub = e.smallKn.eval(cand)
+					newNum, sub = e.evalSmall.eval(cand)
 					if newNum < num {
 						maskS = cand
 						num, inner = newNum, sub
@@ -709,7 +651,7 @@ func (e *randEngine) trial(sc *randScratch, stream *rng.RNG, k int, theta float6
 					sc.S.Add(v)
 					insertMember(&sc.members, v)
 					sc.sc.members = sc.members
-					newNum, sub = e.bigKn.eval(sc.S, sc.sc)
+					newNum, sub = e.evalBig.eval(sc.S, sc.sc)
 					if newNum < num {
 						num, innerSub = newNum, sub
 						improved = true

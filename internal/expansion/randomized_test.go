@@ -3,8 +3,10 @@ package expansion
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
+	"wexp/internal/bitset"
 	"wexp/internal/gen"
 	"wexp/internal/graph"
 	"wexp/internal/rng"
@@ -168,6 +170,60 @@ func TestRandomizedExactWhenAllStrataSmall(t *testing.T) {
 		}
 		if rd.Cert.CILow != rd.Value || rd.Cert.CIHigh != rd.Value {
 			t.Fatalf("%v: exact CI should collapse to the value: %+v", obj, rd.Cert)
+		}
+	}
+}
+
+// TestRandomizedExhaustivePin pins the randomized tier's answers when
+// every stratum is exhaustive — one search leaf per stratum, on both
+// representations — at 1, 2 and 8 workers: Value, both witnesses, and
+// Sets, which counts every set of every stratum, whether evaluated or
+// skipped by the per-set floor.
+func TestRandomizedExhaustivePin(t *testing.T) {
+	type pin struct {
+		sets         int
+		value        float64
+		witness      []int
+		innerWitness []int
+	}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		maxK int
+		pins map[Objective]pin
+	}{
+		{"er16", gen.ErdosRenyi(16, 0.3, rng.New(16)), 4, map[Objective]pin{
+			ObjOrdinary: {2516, 1.25, []int{1, 3, 7, 10}, nil},
+			ObjUnique:   {2516, 0.25, []int{3, 4, 5, 9}, nil},
+			ObjWireless: {2516, 1, []int{1, 3, 7, 10}, []int{7, 10}},
+			ObjEdge:     {2516, 1.75, []int{0, 2, 4, 14}, nil},
+		}},
+		{"er70", gen.ErdosRenyi(70, 0.1, rng.New(70)), 1, map[Objective]pin{
+			ObjOrdinary: {70, 3, []int{1}, nil},
+			ObjUnique:   {70, 3, []int{1}, nil},
+			ObjWireless: {70, 3, []int{1}, []int{1}},
+			ObjEdge:     {70, 3, []int{1}, nil},
+		}},
+	}
+	indices := func(s *bitset.Set) []int {
+		if s == nil {
+			return nil
+		}
+		return s.AppendIndices(nil)
+	}
+	for _, tc := range cases {
+		for _, obj := range allObjectives {
+			want := tc.pins[obj]
+			for _, w := range []int{1, 2, 8} {
+				rd, err := Randomized(tc.g, obj, RandOptions{MaxK: tc.maxK, RunOpts: runopts.RunOpts{Workers: w, Seed: 1}})
+				if err != nil {
+					t.Fatalf("%s %v: %v", tc.name, obj, err)
+				}
+				got := pin{rd.Sets, rd.Value, indices(rd.Witness), indices(rd.InnerWitness)}
+				if rd.Cert.Kind != CertExact || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %v w=%d: got %+v (%s), want %+v", tc.name, obj, w, got, rd.Cert.Kind, want)
+				}
+			}
 		}
 	}
 }

@@ -2,13 +2,13 @@
 // concrete graphs: ordinary expansion β (Section 2.1), unique-neighbor
 // expansion βu, and wireless expansion βw (Section 2.2).
 //
-// Two regimes are supported. Exact solvers enumerate candidate sets by
-// cardinality under a caller-supplied work budget (see Options and
-// DefaultBudget) — any vertex count is accepted as long as Σ C(n,k) work
-// units fit, with βw priced at 2^|S| per set because its inner
-// optimization over S' ⊆ S is itself NP-hard, being the spokesman
-// election problem. All of them fan over a chunked worker pool whose
-// deterministic merge makes results bit-identical at every pool width.
+// Two regimes are supported. Exact solvers run one branch-and-bound search
+// over candidate sets under a caller-supplied work budget (see Options and
+// DefaultBudget) — any vertex count is accepted as long as the search fits,
+// with βw priced at 2^|S| per evaluated set because its inner optimization
+// over S' ⊆ S is itself NP-hard, being the spokesman election problem. The
+// search fans over a worker pool whose fixed-shape partition and
+// deterministic merge make results bit-identical at every pool width.
 // Beyond the budget, estimators sample adversarial set families (BFS
 // balls, random k-sets, low-degree sets) and report certified one-sided
 // bounds, labeled as such. See README.md in this directory for the engine

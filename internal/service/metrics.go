@@ -50,7 +50,7 @@ type Metrics struct {
 	// and whole subtrees cut by the branch-and-bound bounds (each
 	// computation's own counters also appear in its cached body — they are
 	// worker-invariant), plus computation counts per kernel variant
-	// (small|big × bnb|incremental|recompute).
+	// (small-bnb, big-bnb, randomized-ppsz).
 	EngineSets     int64
 	EnginePruned   int64
 	EngineVisited  int64

@@ -117,8 +117,8 @@ type Server struct {
 	// hits and coalesced waiters don't touch the engine). The same
 	// worker-invariant counters also appear in each cached response body;
 	// /metrics totals them across computations, and the per-kernel run
-	// counts make the active kernel variant (branch-and-bound vs the flat
-	// incremental and recompute oracles) observable in production.
+	// counts make the active kernel variant (the search's uint64 or bitset
+	// representation, or the randomized tier) observable in production.
 	engineSets      atomic.Int64
 	enginePruned    atomic.Int64
 	engineVisited   atomic.Int64
