@@ -249,24 +249,35 @@ func TestResultArgSetConsistency(t *testing.T) {
 	}
 }
 
-// TestExactWirelessKnownValues pins βw on graphs with known answers and
-// the solver's input validation.
-func TestExactWirelessKnownValues(t *testing.T) {
-	res, err := ExactWireless(gen.Complete(8), 0.5)
+// exactWirelessParallel runs the βw search on a fixed four-worker pool, so
+// the parallel tests below exercise the pool on every machine.
+func exactWirelessParallel(g *graph.Graph, alpha float64) (Result, error) {
+	return Exact(g, ObjWireless, Options{Alpha: alpha, RunOpts: runopts.RunOpts{Workers: 4}})
+}
+
+// TestExactWirelessParallelKnownValues pins βw on graphs with known
+// answers when the search runs on several workers.
+func TestExactWirelessParallelKnownValues(t *testing.T) {
+	res, err := exactWirelessParallel(gen.Complete(8), 0.5)
 	if err != nil || res.Value != 1 {
 		t.Fatalf("βw(K8) = %g, %v", res.Value, err)
 	}
-	res, err = ExactWireless(gen.CPlus(6), 0.45)
+	res, err = exactWirelessParallel(gen.CPlus(6), 0.45)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Value <= 0 {
 		t.Fatalf("βw(C+) = %g, want > 0", res.Value)
 	}
-	if _, err := ExactWireless(gen.Cycle(26), 0.5); err == nil {
+}
+
+// TestExactWirelessParallelValidation checks that the multi-worker βw
+// search refuses a graph beyond the default budget and α = 0.
+func TestExactWirelessParallelValidation(t *testing.T) {
+	if _, err := exactWirelessParallel(gen.Cycle(26), 0.5); err == nil {
 		t.Fatal("budget-exceeding graph accepted")
 	}
-	if _, err := ExactWireless(gen.Cycle(8), 0); err == nil {
+	if _, err := exactWirelessParallel(gen.Cycle(8), 0); err == nil {
 		t.Fatal("alpha=0 accepted")
 	}
 }
