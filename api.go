@@ -279,22 +279,15 @@ func Broadcast(g *Graph, source int, p Protocol, maxRounds int) (BroadcastResult
 type ProtocolFactory = radio.Factory
 
 // MonteCarloOptions configures BroadcastMonteCarlo (worker-pool width,
-// seed, round budget, per-round trace depth, receive-rule model, memory
-// model). Results are bit-identical at every worker count.
+// seed, round budget, per-round trace depth, receive-rule model). Results
+// are bit-identical at every worker count.
 type MonteCarloOptions = radio.Options
-
-// RadioMemModel is the explicit memory model selecting the engine's
-// adjacency strategy: dense bit rows when they fit the budget, sparse
-// CSR traversal above it (the path that makes n ≥ 10⁶ graphs run in
-// O(n + m) memory per trial). The zero value selects the defaults; set it
-// via MonteCarloOptions.Mem. The strategy never changes results — only
-// memory and speed.
-type RadioMemModel = radio.MemModel
 
 // RadioModel is the pluggable per-round receive rule: the unit-disk
 // collision rule of the paper, SINR/physical interference, probabilistic
 // arc fading, multi-message broadcast, or adversarial jamming. Install one
-// via MonteCarloOptions.Model; nil keeps the historical unit-disk path.
+// via MonteCarloOptions.Model; nil selects unit-disk and leaves the
+// result's Model label empty.
 type RadioModel = radio.Model
 
 // Receive-rule model types, constructible directly when the spec-string
@@ -357,7 +350,7 @@ func BroadcastLowerBound(diameter, n int) float64 { return bounds.BroadcastLower
 
 // --- Experiments -------------------------------------------------------------
 
-// RunExperiment executes one reproduction experiment (E1–E14).
+// RunExperiment executes one reproduction experiment (E1–E16).
 func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentResult, error) {
 	e, ok := experiments.ByID(id)
 	if !ok {
@@ -366,7 +359,7 @@ func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentResult, error) {
 	return e.Run(cfg)
 }
 
-// RunAllExperiments executes the full E1–E14 suite.
+// RunAllExperiments executes the full E1–E16 suite.
 func RunAllExperiments(cfg ExperimentConfig) ([]*ExperimentResult, error) {
 	return experiments.RunAll(cfg)
 }

@@ -1,6 +1,6 @@
 package wexp
 
-// The benchmark harness: one Benchmark per experiment of DESIGN.md's index
+// The benchmark harness: one Benchmark per experiment of the registry
 // (each iteration regenerates that experiment's table, in quick mode so a
 // full -bench=. sweep stays tractable), plus micro-benchmarks of the hot
 // paths that dominate the experiments (neighbor iteration, unique-cover
@@ -97,7 +97,7 @@ func BenchmarkUniqueCover(b *testing.B) {
 	}
 }
 
-// Ablation benches: the cost knobs DESIGN.md calls out — decay trial
+// Ablation benches: the cost knobs of spokesman election — decay trial
 // budget, and the hill-climbing refinement pass.
 
 func BenchmarkAblationDecayTrials1(b *testing.B)  { benchDecayTrials(b, 1) }
@@ -194,27 +194,27 @@ func BenchmarkRadioRound(b *testing.B) {
 // radioBenchRecord is one (family, n, engine) data point of the perf
 // record emitted as BENCH_radio.json: the cost of one flood-load receive
 // round (every vertex informed and transmitting — the collision-heavy
-// regime the vectorized engine targets).
+// regime the word-parallel accumulate targets).
 type radioBenchRecord struct {
 	Family  string  `json:"family"`
 	N       int     `json:"n"`
 	M       int     `json:"m"`
-	Engine  string  `json:"engine"` // "scalar" | "vectorized" | "model:<spec>"
+	Engine  string  `json:"engine"` // "vectorized" | "sparse" | "model:<spec>"
 	NsPerOp float64 `json:"ns_per_op"`
-	Speedup float64 `json:"speedup,omitempty"` // vectorized rows: scalar ns / vectorized ns
 }
 
-// BenchmarkRadioEngine measures the scalar oracle against the
-// word-parallel step at n = 256/1024/4096 on Erdős–Rényi, hypercube, and
-// C⁺ instances, plus the interference-model receive rules (unit-disk vs
-// SINR vs fading) at n = 1024/4096, and writes BENCH_radio.json. The
+// BenchmarkRadioEngine measures the receive step at n = 256/1024/4096 on
+// Erdős–Rényi, hypercube, and C⁺ instances, the interference-model receive
+// rules (unit-disk vs SINR vs fading) at n = 1024/4096, and the CSR
+// scatter on a million-vertex instance, and writes BENCH_radio.json. The
 // record is rewritten only when every configuration ran, so a filtered
 // run cannot truncate it.
 func BenchmarkRadioEngine(b *testing.B) {
 	type cfg struct {
 		family string
-		n      int
+		engine string
 		make   func() *graph.Graph
+		model  string // receive-rule spec; empty steps the default unit-disk
 	}
 	var cfgs []cfg
 	for _, n := range []int{256, 1024, 4096} {
@@ -225,80 +225,52 @@ func BenchmarkRadioEngine(b *testing.B) {
 		}
 		dd := d
 		cfgs = append(cfgs,
-			cfg{"erdos-renyi", n, func() *graph.Graph {
+			cfg{family: "erdos-renyi", engine: "vectorized", make: func() *graph.Graph {
 				return gen.ErdosRenyi(n, 0.1, rng.New(uint64(n)*77+5))
 			}},
-			cfg{"hypercube", 1 << dd, func() *graph.Graph { return gen.Hypercube(dd) }},
-			cfg{"cplus", n, func() *graph.Graph { return gen.CPlus(n - 1) }},
+			cfg{family: "hypercube", engine: "vectorized", make: func() *graph.Graph { return gen.Hypercube(dd) }},
+			cfg{family: "cplus", engine: "vectorized", make: func() *graph.Graph { return gen.CPlus(n - 1) }},
 		)
 	}
-	// The interference-model grid rides along after the engine pairs:
-	// the same flood-load round under each pluggable receive rule.
-	type modelCfg struct {
-		n    int
-		spec string
-	}
-	var modelCfgs []modelCfg
+	// The interference-model grid: the same flood-load round under each
+	// pluggable receive rule.
 	for _, n := range []int{1024, 4096} {
+		n := n
 		for _, spec := range []string{"unit-disk", "sinr", "fading:0.25"} {
-			modelCfgs = append(modelCfgs, modelCfg{n, spec})
+			cfgs = append(cfgs, cfg{family: "erdos-renyi", engine: "model:" + spec, model: spec, make: func() *graph.Graph {
+				return gen.ErdosRenyi(n, 0.1, rng.New(uint64(n)*77+5))
+			}})
 		}
 	}
-	// Million-vertex rows: the sparse CSR engine against the scalar oracle
-	// on a RandomSparse instance far past the dense-row budget (dense bit
-	// rows at this n would need ~n²/8 ≈ 125 GB).
-	type bigCfg struct{ n, m int }
-	bigs := []bigCfg{{1_000_000, 8_000_000}}
+	// The million-vertex row: the CSR scatter on a RandomSparse instance
+	// far past the dense-row budget (dense bit rows at this n would need
+	// ~n²/8 ≈ 125 GB).
+	cfgs = append(cfgs, cfg{family: "random-sparse", engine: "sparse", make: func() *graph.Graph {
+		return gen.RandomSparse(1_000_000, 8_000_000, rng.New(1_000_000*77+5))
+	}})
 	// Indexed by configuration and overwritten on every invocation: the
 	// harness re-runs each sub-benchmark while calibrating b.N, and the
 	// final (largest-b.N) invocation is the one worth recording.
-	records := make([]radioBenchRecord, 2*len(cfgs)+len(modelCfgs)+2*len(bigs))
+	records := make([]radioBenchRecord, len(cfgs))
 	ran := make([]bool, len(records))
 	for ci, c := range cfgs {
 		g := c.make()
-		for ei, engine := range []string{"scalar", "vectorized"} {
-			idx := 2*ci + ei
-			engine := engine
-			b.Run(fmt.Sprintf("%s/n=%d/%s", c.family, c.n, engine), func(b *testing.B) {
-				net, err := radio.NewNetwork(g, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				transmit := make([]bool, g.N())
-				for v := range transmit {
-					net.Informed[v] = true
-					transmit[v] = true
-				}
-				net.InformedCount = g.N()
-				step := net.Step
-				if engine == "scalar" {
-					step = net.StepScalar
-				}
-				b.ResetTimer()
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					step(transmit)
-				}
-				ns := float64(time.Since(start).Nanoseconds()) / float64(b.N)
-				records[idx] = radioBenchRecord{Family: c.family, N: g.N(), M: g.M(), Engine: engine, NsPerOp: ns}
-				ran[idx] = true
-			})
+		name := fmt.Sprintf("%s/n=%d/%s", c.family, g.N(), c.engine)
+		if c.model != "" {
+			name = fmt.Sprintf("%s/n=%d/model=%s", c.family, g.N(), c.model)
 		}
-	}
-	for mi, mc := range modelCfgs {
-		idx := 2*len(cfgs) + mi
-		mc := mc
-		g := gen.ErdosRenyi(mc.n, 0.1, rng.New(uint64(mc.n)*77+5))
-		b.Run(fmt.Sprintf("erdos-renyi/n=%d/model=%s", mc.n, mc.spec), func(b *testing.B) {
-			model, err := radio.ParseModel(mc.spec)
-			if err != nil {
-				b.Fatal(err)
-			}
+		b.Run(name, func(b *testing.B) {
 			net, err := radio.NewNetwork(g, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			net.UseModel(model, 1)
+			if c.model != "" {
+				model, err := radio.ParseModel(c.model)
+				if err != nil {
+					b.Fatal(err)
+				}
+				net.UseModel(model, 1)
+			}
 			transmit := make([]bool, g.N())
 			for v := range transmit {
 				net.Informed[v] = true
@@ -308,60 +280,16 @@ func BenchmarkRadioEngine(b *testing.B) {
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				net.StepRound(transmit)
+				net.Step(transmit)
 			}
 			ns := float64(time.Since(start).Nanoseconds()) / float64(b.N)
-			records[idx] = radioBenchRecord{Family: "erdos-renyi", N: g.N(), M: g.M(), Engine: "model:" + mc.spec, NsPerOp: ns}
-			ran[idx] = true
+			records[ci] = radioBenchRecord{Family: c.family, N: g.N(), M: g.M(), Engine: c.engine, NsPerOp: ns}
+			ran[ci] = true
 		})
-	}
-	for bi, bc := range bigs {
-		base := 2*len(cfgs) + len(modelCfgs) + 2*bi
-		g := gen.RandomSparse(bc.n, bc.m, rng.New(uint64(bc.n)*77+5))
-		for ei, engine := range []string{"scalar", "sparse"} {
-			idx := base + ei
-			engine := engine
-			b.Run(fmt.Sprintf("random-sparse/n=%d/%s", bc.n, engine), func(b *testing.B) {
-				net, err := radio.NewNetwork(g, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				transmit := make([]bool, g.N())
-				for v := range transmit {
-					net.Informed[v] = true
-					transmit[v] = true
-				}
-				net.InformedCount = g.N()
-				step := net.Step // auto-selected: sparse CSR at this n
-				if engine == "scalar" {
-					step = net.StepScalar
-				}
-				b.ResetTimer()
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					step(transmit)
-				}
-				ns := float64(time.Since(start).Nanoseconds()) / float64(b.N)
-				records[idx] = radioBenchRecord{Family: "random-sparse", N: g.N(), M: g.M(), Engine: engine, NsPerOp: ns}
-				ran[idx] = true
-			})
-		}
 	}
 	for _, ok := range ran {
 		if !ok {
 			return // filtered run: keep the existing record
-		}
-	}
-	// Fill speedups now that both engines of each pair have final numbers.
-	for i := 1; i < 2*len(cfgs); i += 2 {
-		if records[i-1].NsPerOp > 0 {
-			records[i].Speedup = records[i-1].NsPerOp / records[i].NsPerOp
-		}
-	}
-	for bi := range bigs {
-		base := 2*len(cfgs) + len(modelCfgs) + 2*bi
-		if records[base].NsPerOp > 0 {
-			records[base+1].Speedup = records[base].NsPerOp / records[base+1].NsPerOp
 		}
 	}
 	payload := struct {

@@ -1,6 +1,6 @@
-// Command experiments runs the reproduction harness (experiments E1–E14 of
-// DESIGN.md) through the sharded job engine and prints each experiment's
-// tables with its PASS/FAIL verdict.
+// Command experiments runs the reproduction harness (experiments E1–E16)
+// through the sharded job engine and prints each experiment's tables with
+// its PASS/FAIL verdict.
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 // Command wexpd is the wexp graph-analysis daemon: a stdlib-only
 // HTTP/JSON service exposing the exact expansion engine, the spokesman
-// portfolio, the Monte-Carlo broadcast simulator, and the E1–E14
+// portfolio, the Monte-Carlo broadcast simulator, and the E1–E16
 // reproduction suite behind a content-addressed graph store, a memoized
 // byte-level result cache with singleflight coalescing, and a cancellable
 // job engine.

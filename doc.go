@@ -36,7 +36,7 @@
 //   - a radio-network simulator with the paper's collision rule and the
 //     broadcast protocols it discusses (internal/radio);
 //   - the closed-form bounds of every lemma (internal/bounds) and the
-//     sharded, resumable experiment engine E1–E14 that regenerates each
+//     sharded, resumable experiment engine E1–E16 that regenerates each
 //     claim with deterministic JSON artifacts (internal/experiments);
 //   - the wexpd graph-analysis service (internal/service, cmd/wexpd): a
 //     content-addressed graph store keyed by the canonical digest

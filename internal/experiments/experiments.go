@@ -1,7 +1,6 @@
 // Package experiments implements the reproduction harness: one registered
-// Spec per experiment in DESIGN.md's per-experiment index (E1–E14), each
-// regenerating the measured counterpart of a claim from the paper and
-// checking it.
+// Spec per experiment (E1–E16), each regenerating the measured
+// counterpart of a claim from the paper and checking it.
 //
 // Experiments run through a sharded job engine (see engine.go): every Spec
 // declares its parameter grid as deterministic shards, the engine fans them

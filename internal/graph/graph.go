@@ -36,6 +36,13 @@ func (g *Graph) Neighbors(v int) []int32 {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
 
+// NeighborRange returns the neighbor slices of the vertices lo..hi-1
+// concatenated in vertex order, aliasing the graph's internal storage
+// like Neighbors.
+func (g *Graph) NeighborRange(lo, hi int) []int32 {
+	return g.adj[g.offsets[lo]:g.offsets[hi]]
+}
+
 // HasEdge reports whether {u, v} is an edge, by binary search over the
 // smaller adjacency list.
 func (g *Graph) HasEdge(u, v int) bool {

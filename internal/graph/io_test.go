@@ -144,6 +144,14 @@ func TestReadEdgeListOptions(t *testing.T) {
 			isErr: true,
 		},
 		{
+			// 100000002725642245 wraps to 5 in a 32-bit int: the id must
+			// be rejected, not read as the edge 0–5.
+			name:  "id-past-int32",
+			in:    "n 8\n0 100000002725642245\n",
+			opt:   EdgeListOptions{},
+			isErr: true,
+		},
+		{
 			name:  "out-of-range-vs-header",
 			in:    "n 2\n1 2\n",
 			opt:   EdgeListOptions{InferN: true},

@@ -283,30 +283,34 @@ func splitTwoFields(b []byte) (f0, f1 []byte, nf int, junk bool) {
 }
 
 // parseID parses a strict base-10 vertex id with strconv.Atoi semantics on
-// the accepted range: an optional sign followed by one or more ASCII
-// digits and nothing else. It is allocation-free (no []byte→string
-// conversion) and rejects anything strconv.Atoi would reject; the
-// equivalence is differential-tested in stream_test.go.
+// the CSR id range: an optional sign followed by one or more ASCII digits
+// and nothing else, of magnitude at most math.MaxInt32 (CSR ids are int32
+// on every platform, so a 32-bit int can never wrap). It is
+// allocation-free (no []byte→string conversion) and rejects anything
+// strconv.Atoi would reject; the equivalence is differential-tested in
+// stream_test.go.
 func parseID(b []byte) (int, bool) {
 	neg := false
 	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
 		neg = b[0] == '-'
 		b = b[1:]
 	}
-	if len(b) == 0 || len(b) > 18 { // >18 digits cannot be a CSR id
+	if len(b) == 0 {
 		return 0, false
 	}
-	v := 0
+	var v int64
 	for _, c := range b {
 		if c < '0' || c > '9' {
 			return 0, false
 		}
-		v = v*10 + int(c-'0')
+		if v = v*10 + int64(c-'0'); v > math.MaxInt32 {
+			return 0, false
+		}
 	}
 	if neg {
 		v = -v
 	}
-	return v, true
+	return int(v), true
 }
 
 // canonicalizeAdj sorts each CSR row in place and drops duplicate

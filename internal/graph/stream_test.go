@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -252,18 +253,23 @@ func TestStreamStats(t *testing.T) {
 }
 
 // TestParseIDMatchesAtoi differential-tests the zero-copy field parser
-// against strconv.Atoi on a corpus of accept and reject tokens.
+// against strconv.Atoi on a corpus of accept and reject tokens: parseID
+// accepts exactly what Atoi accepts with magnitude ≤ math.MaxInt32, on
+// every int width.
 func TestParseIDMatchesAtoi(t *testing.T) {
 	tokens := []string{
 		"0", "1", "42", "007", "123456789", "999999999999999999",
+		"2147483647", "2147483648", "-2147483647", "-2147483648",
+		"100000002725642245", "00000000000000000000001",
 		"-1", "-0", "+5", "+", "-", "", " ", "1 ", " 1", "1x", "x1",
 		"0x10", "1.5", "1e3", "--1", "+-1", "１", "٤٢",
 	}
 	for _, tok := range tokens {
 		got, ok := parseID([]byte(tok))
 		want, err := strconv.Atoi(tok)
-		if ok != (err == nil) {
-			t.Fatalf("parseID(%q) ok=%v, Atoi err=%v", tok, ok, err)
+		inRange := err == nil && want >= -math.MaxInt32 && want <= math.MaxInt32
+		if ok != inRange {
+			t.Fatalf("parseID(%q) ok=%v, Atoi=%d err=%v", tok, ok, want, err)
 		}
 		if ok && got != want {
 			t.Fatalf("parseID(%q)=%d, Atoi=%d", tok, got, want)

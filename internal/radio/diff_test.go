@@ -11,124 +11,66 @@ import (
 	"wexp/internal/runopts"
 )
 
-// lockstep runs proto on three copies of the same network — one stepping
-// the vectorized engine, one the scalar oracle, one routed through the
-// UnitDisk model — feeding all the identical transmit set each round, and
-// fails on the first divergence in any observable: newly-informed count,
-// Informed, InformedCount, Collisions, Transmissions, or per-vertex
-// informed-at rounds.
-func lockstep(t *testing.T, g *graph.Graph, source int, proto Protocol, maxRounds int) {
-	t.Helper()
-	// Force the word-parallel kernel even on graphs where the adaptive
-	// engine would pick the counting loop: the kernel must agree with the
-	// oracle everywhere, not just where it is fast.
-	rows := BuildAdjRows(g)
-	rows.vector = true
-	vec, err := NewNetworkRows(g, source, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sca, err := NewNetwork(g, source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := NewNetworkRows(g, source, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod.UseModel(UnitDisk{}, 0)
-	transmit := make([]bool, g.N())
-	for vec.Round < maxRounds && !vec.Done() {
-		for i := range transmit {
-			transmit[i] = false
-		}
-		proto.Transmitters(vec, transmit)
-		nv := vec.Step(transmit)
-		ns := sca.StepScalar(transmit)
-		nm := mod.StepRound(transmit)
-		if nv != ns {
-			t.Fatalf("round %d: newly informed %d (vectorized) != %d (scalar)", vec.Round, nv, ns)
-		}
-		if nm != ns {
-			t.Fatalf("round %d: newly informed %d (unit-disk model) != %d (scalar)", mod.Round, nm, ns)
-		}
-		compareNetworks(t, vec, sca)
-		compareNetworks(t, mod, sca)
-		if mod.Done() != vec.Done() {
-			t.Fatalf("round %d: Done %v (unit-disk model) != %v (engine)", mod.Round, mod.Done(), vec.Done())
-		}
-	}
+// corpusFamilies and corpusProtocols span the differential corpus.
+var corpusFamilies = []struct {
+	name string
+	make func(r *rng.RNG) *graph.Graph
+}{
+	{"path-17", func(*rng.RNG) *graph.Graph { return gen.Path(17) }},
+	{"cycle-24", func(*rng.RNG) *graph.Graph { return gen.Cycle(24) }},
+	{"cplus-12", func(*rng.RNG) *graph.Graph { return gen.CPlus(12) }},
+	{"torus-5x5", func(*rng.RNG) *graph.Graph { return gen.Torus(5, 5) }},
+	{"hypercube-5", func(*rng.RNG) *graph.Graph { return gen.Hypercube(5) }},
+	{"star-16", func(*rng.RNG) *graph.Graph { return gen.Star(16) }},
+	{"er-30", func(r *rng.RNG) *graph.Graph { return gen.ErdosRenyi(30, 0.15, r) }},
+	// n = 70 crosses the one-word boundary of the bitset rows.
+	{"er-70", func(r *rng.RNG) *graph.Graph { return gen.ErdosRenyi(70, 0.08, r) }},
 }
 
-func compareNetworks(t *testing.T, vec, sca *Network) {
-	t.Helper()
-	if vec.InformedCount != sca.InformedCount {
-		t.Fatalf("round %d: InformedCount %d != %d", vec.Round, vec.InformedCount, sca.InformedCount)
-	}
-	if vec.Collisions != sca.Collisions {
-		t.Fatalf("round %d: Collisions %d != %d", vec.Round, vec.Collisions, sca.Collisions)
-	}
-	if vec.Transmissions != sca.Transmissions {
-		t.Fatalf("round %d: Transmissions %d != %d", vec.Round, vec.Transmissions, sca.Transmissions)
-	}
-	for v := range vec.Informed {
-		if vec.Informed[v] != sca.Informed[v] {
-			t.Fatalf("round %d: Informed[%d] %v != %v", vec.Round, v, vec.Informed[v], sca.Informed[v])
+var corpusProtocols = []struct {
+	name string
+	make func(n int, r *rng.RNG) Protocol
+}{
+	{"flood", func(int, *rng.RNG) Protocol { return Flood{} }},
+	{"round-robin", func(int, *rng.RNG) Protocol { return RoundRobin{} }},
+	{"decay", func(_ int, r *rng.RNG) Protocol { return &Decay{R: r} }},
+	{"prob-flood", func(_ int, r *rng.RNG) Protocol { return &ProbFlood{P: 0.3, R: r} }},
+	{"spokesman", func(_ int, r *rng.RNG) Protocol { return &Spokesman{R: r, Trials: 2} }},
+	{"random-schedule", func(n int, r *rng.RNG) Protocol {
+		sched, err := NewRandomSchedule(n, 16, 0.2, r)
+		if err != nil {
+			panic(err)
 		}
-		if vec.InformedAt(v) != sca.InformedAt(v) {
-			t.Fatalf("round %d: InformedAt(%d) %d != %d", vec.Round, v, vec.InformedAt(v), sca.InformedAt(v))
-		}
-	}
+		return sched
+	}},
 }
 
-// TestStepMatchesScalarCorpus is the differential corpus: every graph
-// family × protocol × seed combination runs vectorized and scalar engines
-// in lockstep (240 cases).
-func TestStepMatchesScalarCorpus(t *testing.T) {
-	families := []struct {
-		name string
-		make func(r *rng.RNG) *graph.Graph
-	}{
-		{"path-17", func(*rng.RNG) *graph.Graph { return gen.Path(17) }},
-		{"cycle-24", func(*rng.RNG) *graph.Graph { return gen.Cycle(24) }},
-		{"cplus-12", func(*rng.RNG) *graph.Graph { return gen.CPlus(12) }},
-		{"torus-5x5", func(*rng.RNG) *graph.Graph { return gen.Torus(5, 5) }},
-		{"hypercube-5", func(*rng.RNG) *graph.Graph { return gen.Hypercube(5) }},
-		{"star-16", func(*rng.RNG) *graph.Graph { return gen.Star(16) }},
-		{"er-30", func(r *rng.RNG) *graph.Graph { return gen.ErdosRenyi(30, 0.15, r) }},
-		// n = 70 crosses the one-word boundary of the bitset rows.
-		{"er-70", func(r *rng.RNG) *graph.Graph { return gen.ErdosRenyi(70, 0.08, r) }},
-	}
-	protocols := []struct {
-		name string
-		make func(n int, r *rng.RNG) Protocol
-	}{
-		{"flood", func(int, *rng.RNG) Protocol { return Flood{} }},
-		{"round-robin", func(int, *rng.RNG) Protocol { return RoundRobin{} }},
-		{"decay", func(_ int, r *rng.RNG) Protocol { return &Decay{R: r} }},
-		{"prob-flood", func(_ int, r *rng.RNG) Protocol { return &ProbFlood{P: 0.3, R: r} }},
-		{"spokesman", func(_ int, r *rng.RNG) Protocol { return &Spokesman{R: r, Trials: 2} }},
-		{"random-schedule", func(n int, r *rng.RNG) Protocol {
-			sched, err := NewRandomSchedule(n, 16, 0.2, r)
-			if err != nil {
-				panic(err)
-			}
-			return sched
-		}},
-	}
+// forCorpus runs one subtest per family × protocol × seed (240 cases) and
+// returns the case count.
+func forCorpus(t *testing.T, run func(t *testing.T, g *graph.Graph, proto Protocol)) int {
 	cases := 0
-	for _, fam := range families {
-		for _, pr := range protocols {
+	for _, fam := range corpusFamilies {
+		for _, pr := range corpusProtocols {
 			for seed := uint64(1); seed <= 5; seed++ {
 				cases++
 				t.Run(fmt.Sprintf("%s/%s/seed-%d", fam.name, pr.name, seed), func(t *testing.T) {
 					r := rng.New(seed)
 					g := fam.make(r)
-					lockstep(t, g, 0, pr.make(g.N(), r), 80)
+					run(t, g, pr.make(g.N(), r))
 				})
 			}
 		}
 	}
+	return cases
+}
+
+// TestStepMatchesScalarCorpus is the differential corpus: every graph
+// family × protocol × seed combination runs unit-disk on dense rows, on
+// the CSR scatter and through the counting oracle in lockstep (240 cases).
+func TestStepMatchesScalarCorpus(t *testing.T) {
+	cases := forCorpus(t, func(t *testing.T, g *graph.Graph, proto Protocol) {
+		lockstep(t, g, 0, proto, UnitDisk{}, 80)
+	})
 	if cases < 200 {
 		t.Fatalf("differential corpus has %d cases, want ≥ 200", cases)
 	}
@@ -136,33 +78,39 @@ func TestStepMatchesScalarCorpus(t *testing.T) {
 
 // TestStepMatchesScalarPreinformed covers states a protocol run never
 // reaches from a single source: arbitrary informed sets and transmit
-// flags on uninformed vertices.
+// flags on uninformed vertices, under unit-disk.
 func TestStepMatchesScalarPreinformed(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 50; trial++ {
-		g := gen.ErdosRenyi(40, 0.12, r)
-		rows := BuildAdjRows(g)
-		rows.vector = true
-		vec, _ := NewNetworkRows(g, 0, rows)
-		sca, _ := NewNetwork(g, 0)
-		for v := 1; v < g.N(); v++ {
-			if r.Bernoulli(0.3) {
-				vec.Informed[v] = true
-				vec.InformedCount++
-				sca.Informed[v] = true
-				sca.InformedCount++
-			}
+		preinformedLockstep(t, r, gen.ErdosRenyi(40, 0.12, r), UnitDisk{}, 10)
+	}
+}
+
+// preinformedLockstep informs a random ~30% of g on the three networks of
+// lockstepNets, then steps them through `rounds` rounds of random transmit
+// flags (uninformed vertices included), comparing every observable.
+func preinformedLockstep(t *testing.T, r *rng.RNG, g *graph.Graph, m Model, rounds int) {
+	t.Helper()
+	ref := oracleFor(m)
+	dense, csr, oracle := lockstepNets(t, g, 0, m)
+	for v := 1; v < g.N(); v++ {
+		if r.Bernoulli(0.3) {
+			dense.inform(v)
+			csr.inform(v)
+			oracle.inform(v)
 		}
-		transmit := make([]bool, g.N())
-		for rounds := 0; rounds < 10; rounds++ {
-			for v := range transmit {
-				transmit[v] = r.Bernoulli(0.4) // flags on uninformed vertices too
-			}
-			if nv, ns := vec.Step(transmit), sca.StepScalar(transmit); nv != ns {
-				t.Fatalf("trial %d round %d: newly %d != %d", trial, vec.Round, nv, ns)
-			}
-			compareNetworks(t, vec, sca)
+	}
+	transmit := make([]bool, g.N())
+	for round := 0; round < rounds; round++ {
+		for v := range transmit {
+			transmit[v] = r.Bernoulli(0.4) // flags on uninformed vertices too
 		}
+		nd, nc, no := dense.Step(transmit), csr.Step(transmit), ref(oracle, transmit)
+		if nd != no || nc != no {
+			t.Fatalf("%s round %d: newly dense=%d csr=%d oracle=%d", m.Name(), oracle.Round, nd, nc, no)
+		}
+		compareNetworks(t, dense, oracle)
+		compareNetworks(t, csr, oracle)
 	}
 }
 

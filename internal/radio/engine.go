@@ -5,122 +5,72 @@ import (
 	"wexp/internal/graph"
 )
 
-// rowsKind selects the adjacency representation behind the word-parallel
-// step: dense bit rows for small graphs, CSR-only traversal above the
-// memory budget.
-type rowsKind uint8
+// denseRowBudget caps the dense bit-row cache at 64 MiB — rows are
+// possible up to n ≈ 23k, never beyond. The crossover is far below any
+// size where dense rows win anyway (the row cache stops fitting in L2/L3
+// long before the budget trips).
+const denseRowBudget = 64 << 20
 
-const (
-	// rowsDense materializes one n-bit row per vertex (n²/8 bytes total):
-	// the fastest layout when it fits, because high-degree senders OR whole
-	// words at a time.
-	rowsDense rowsKind = iota
-	// rowsSparse keeps only the graph's CSR and scatters neighbor ids into
-	// the hit/multi accumulators, in receiver-chunked order for large
-	// rounds. Memory is O(n) bits of accumulator on top of the shared CSR —
-	// nothing quadratic — so n ≥ 10⁶ runs in O(n + m) words per trial.
-	rowsSparse
-)
+// forceCSR makes BuildAdjRows keep no rows on any graph, so the CSR
+// scatter runs everywhere. Only tests set it, restoring it on cleanup.
+var forceCSR bool
 
-// DefaultDenseRowBudget caps the dense bit-row cache at 64 MiB — dense up
-// to n ≈ 23k, sparse beyond. The crossover is far below any size where
-// dense rows win anyway (the row cache stops fitting in L2/L3 long before
-// the budget trips), so the default never costs measurable speed.
-const DefaultDenseRowBudget = 64 << 20
-
-// MemModel is the explicit memory model that picks the adjacency strategy.
-// The zero value selects the defaults; tests force the sparse engine on
-// tiny graphs by setting a one-byte budget.
-type MemModel struct {
-	// DenseRowBudget is the maximum bytes the dense per-vertex bit rows may
-	// occupy (n · ⌈n/64⌉ · 8). Graphs over budget use the sparse CSR
-	// strategy. 0 (or negative) means DefaultDenseRowBudget.
-	DenseRowBudget int64
-}
-
-func (mm MemModel) denseBudget() int64 {
-	if mm.DenseRowBudget <= 0 {
-		return DefaultDenseRowBudget
-	}
-	return mm.DenseRowBudget
-}
-
-// AdjRows caches a graph's adjacency strategy for the receive step. For
-// small graphs it holds one bitset row per vertex — the representation the
-// word-parallel step ORs 64 receivers at a time. Above the memory model's
-// budget no rows are materialized: the step traverses the graph's own CSR.
-// Either way the value is immutable after construction and safe to share
-// across networks and goroutines; MonteCarlo builds it once per graph and
-// hands it to every trial.
+// AdjRows caches a graph's adjacency for the receive step: either one
+// bitset row per vertex — the representation the step ORs 64 receivers
+// at a time — or no rows at all, in which case every sender scatters its
+// CSR neighbor list. Either way the value is immutable after construction
+// and safe to share across networks and goroutines; MonteCarlo builds it
+// once per graph and hands it to every trial.
 type AdjRows struct {
-	n    int
-	kind rowsKind
-	rows []*bitset.Set // per-vertex bit rows; nil when kind == rowsSparse
-	// words is the row width in 64-bit words; rows with fewer than `words`
-	// neighbors are cheaper to scatter per neighbor than to OR word by
-	// word, so Step picks per row.
+	n int
+	// words is the row width in 64-bit words; rows with fewer than
+	// `words` neighbors are cheaper to scatter per neighbor than to OR
+	// word by word, so the step picks per sender.
 	words int
-	// vector selects the word-parallel receive step on the dense strategy.
-	// The per-arc cost of the scalar counting loop is lower than the bitset
-	// scatter, so when most of the graph's arc mass sits in rows too sparse
-	// for the dense word sweep, the whole round falls back to the counting
-	// loop — both paths produce bit-identical results (enforced by the
-	// differential corpus), so this is purely a performance decision, made
-	// once per graph: vector iff at least half the arcs lie in rows with ≥
-	// `words` neighbors. The sparse strategy ignores it: set-based
-	// accumulation is also what keeps its per-trial memory flat, so sparse
-	// networks always take the bitset path.
-	vector bool
+	rows  []*bitset.Set // per-vertex bit rows; nil means CSR scatter only
 }
 
-// Strategy names the engine this row cache selects: "dense" (word-parallel
-// over bit rows), "scalar" (counting loop; dense rows built but unprofitable),
-// or "sparse" (CSR scatter, no rows materialized).
-func (a *AdjRows) Strategy() string {
-	switch {
-	case a.kind == rowsSparse:
-		return "sparse"
-	case a.vector:
-		return "dense"
-	default:
-		return "scalar"
-	}
-}
-
-// BuildAdjRows constructs the adjacency strategy for g under the default
-// memory model.
+// BuildAdjRows decides from g alone whether bit rows pay, and builds them
+// only if they do: rows are kept iff they fit denseRowBudget
+// (n · ⌈n/64⌉ · 8 bytes) and at least half of the arcs lie in rows of
+// degree ≥ ⌈n/64⌉, the senders the word-wide OR serves. Otherwise no rows
+// are allocated and the step scatters from g's CSR. The choice never
+// changes results, only speed and memory.
 func BuildAdjRows(g *graph.Graph) *AdjRows {
-	return BuildAdjRowsMem(g, MemModel{})
-}
-
-// BuildAdjRowsMem constructs the adjacency strategy for g under an explicit
-// memory model: dense bit rows iff n · ⌈n/64⌉ · 8 bytes fit the budget,
-// CSR-backed sparse traversal otherwise.
-func BuildAdjRowsMem(g *graph.Graph, mm MemModel) *AdjRows {
 	n := g.N()
 	words := (n + 63) / 64
-	a := &AdjRows{n: n, words: words}
-	if int64(n)*int64(words)*8 > mm.denseBudget() {
-		a.kind = rowsSparse
+	dense := !forceCSR && int64(n)*int64(words)*8 <= denseRowBudget
+	if dense {
+		denseArcs := 0
+		for v := 0; v < n; v++ {
+			if d := g.Degree(v); d >= words {
+				denseArcs += d
+			}
+		}
+		dense = denseArcs >= g.M() // denseArcs ≥ half of the 2m arcs
+	}
+	return newAdjRows(g, dense)
+}
+
+// newAdjRows builds the row cache with rows iff dense is set.
+func newAdjRows(g *graph.Graph, dense bool) *AdjRows {
+	n := g.N()
+	a := &AdjRows{n: n, words: (n + 63) / 64}
+	if !dense {
 		return a
 	}
 	a.rows = make([]*bitset.Set, n)
-	denseArcs := 0
-	for v := 0; v < n; v++ {
+	for v := range a.rows {
 		row := bitset.New(n)
 		for _, w := range g.Neighbors(v) {
 			row.Add(int(w))
 		}
 		a.rows[v] = row
-		if d := g.Degree(v); d >= a.words {
-			denseArcs += d
-		}
 	}
-	a.vector = denseArcs >= g.M() // denseArcs ≥ half of the 2m arcs
 	return a
 }
 
-// stepScratch holds the per-network bitset accumulators of the vectorized
+// stepScratch holds the per-network bitset accumulators of the receive
 // step. Networks are not safe for concurrent use, so one set per network
 // suffices.
 type stepScratch struct {
@@ -139,35 +89,23 @@ func newStepScratch(n int) *stepScratch {
 	}
 }
 
-// Step executes one synchronous round in which exactly the vertices marked
-// by transmit send. Vertices that are not informed cannot transmit (their
-// flag is ignored): a processor cannot send a message it does not hold.
-// Returns the number of newly informed vertices.
-//
-// This is the word-parallel engine: the transmit set is a bitset, and the
-// receive rule — a silent vertex receives iff exactly one neighbor
-// transmits — is evaluated 64 vertices at a time with two accumulators,
-// hit (≥1 transmitting neighbor) and multi (≥2), so collisions never need
-// a per-neighbor counter:
+// accumulate is the receive step every exactly-one model shares, and the
+// only place the engine walks adjacency for them. Vertices that are not
+// informed cannot transmit (their flag is ignored): a processor cannot
+// send a message it does not hold. The receive rule — a silent vertex
+// receives iff exactly one neighbor transmits — is evaluated 64 vertices
+// at a time with two accumulators, hit (≥1 transmitting neighbor) and
+// multi (≥2), so collisions never need a per-neighbor counter:
 //
 //	multi |= hit & row(v);  hit |= row(v)        for each sender v
-//	newly  = hit \ multi \ active \ informed
+//	newly  = hit \ multi \ active
 //
-// On the dense strategy, rows sparser than the row width in words scatter
-// per neighbor instead (same sets, order-independent), and graphs whose
-// arc mass is mostly in sparse rows skip the bitset machinery entirely in
-// favor of the counting loop (see AdjRows.vector). On the sparse strategy
-// every sender scatters its CSR neighbor list — receiver-chunked when the
-// round is heavy enough for cache blocking to pay (see sparseAccumulate).
-// Results are bit-identical to StepScalar on every input, whichever path
-// runs: the accumulator algebra is order-independent set arithmetic.
-func (n *Network) Step(transmit []bool) int {
-	if n.rows.kind == rowsSparse {
-		return n.stepSparse(transmit)
-	}
-	if !n.rows.vector {
-		return n.StepScalar(transmit)
-	}
+// A sender ORs its bit row when it has one and its degree reaches the row
+// width in words; otherwise it scatters its CSR neighbor list (same sets,
+// order-independent). accumulate advances Round and counts Transmissions
+// and Collisions = |multi \ active|; the caller commits its receive rule
+// over newly, whose members may already be informed.
+func (n *Network) accumulate(transmit []bool) *stepScratch {
 	if n.scratch == nil {
 		n.scratch = newStepScratch(n.G.N())
 	}
@@ -175,122 +113,28 @@ func (n *Network) Step(transmit []bool) int {
 	sc.active.Clear()
 	sc.hit.Clear()
 	sc.multi.Clear()
-	dense := n.rows.words
+	rows, words := n.rows.rows, n.rows.words
+	// Consecutive senders' CSR lists are contiguous, so each run of them
+	// [lo, hi) scatters in one call; a flood round is a single call.
+	lo, hi := 0, 0
 	for v, inf := range n.Informed {
 		if !inf || !transmit[v] {
 			continue
 		}
 		sc.active.Add(v)
-		if n.G.Degree(v) < dense {
-			sc.hit.ScatterCover(sc.multi, n.G.Neighbors(v))
-		} else {
-			sc.hit.AccumulateCover(sc.multi, n.rows.rows[v])
+		if rows != nil && n.G.Degree(v) >= words {
+			sc.hit.AccumulateCover(sc.multi, rows[v])
+			continue
 		}
+		if v != hi {
+			sc.hit.ScatterCover(sc.multi, n.G.NeighborRange(lo, hi))
+			lo = v
+		}
+		hi = v + 1
 	}
+	sc.hit.ScatterCover(sc.multi, n.G.NeighborRange(lo, hi))
 	n.Round++
 	n.Transmissions += sc.active.Count()
-	n.Collisions += sc.multi.SubtractCount(sc.active)
-	// Receive candidates: exactly one transmitting neighbor and not
-	// transmitting. Candidates already informed (silent with one hit) are
-	// filtered against the bool slice — typically a handful, so no
-	// informed bitset is ever materialized.
-	sc.newly.Copy(sc.hit)
-	sc.newly.Subtract(sc.multi)
-	sc.newly.Subtract(sc.active)
-	newly := 0
-	for v := range sc.newly.All() {
-		if n.Informed[v] {
-			continue
-		}
-		n.Informed[v] = true
-		n.informedAtRnd[v] = int32(n.Round)
-		newly++
-	}
-	n.InformedCount += newly
-	return newly
-}
-
-// stepSparse is Step on the sparse strategy: identical accumulator algebra,
-// no bit rows.
-func (n *Network) stepSparse(transmit []bool) int {
-	sc := n.sparseAccumulate(transmit)
-	newly := 0
-	for v := range sc.newly.All() {
-		if n.Informed[v] {
-			continue
-		}
-		n.Informed[v] = true
-		n.informedAtRnd[v] = int32(n.Round)
-		newly++
-	}
-	n.InformedCount += newly
-	return newly
-}
-
-// Receiver-chunk blocking parameters for the sparse scatter. Chunking
-// buckets the round's arcs by receiver id so each 2^sparseChunkShift-bit
-// window of the hit/multi accumulators is touched by one contiguous burst
-// instead of random-order scatter across n bits — the standard propagation
-// blocking of large-graph frameworks. It costs two extra passes over the
-// round's arcs (count + bucket), so it only pays once the accumulators
-// themselves fall out of cache: at n = 10⁶ each bitset is 125 KiB and the
-// direct scatter measures ~2.4× faster than the chunked one, so the vertex
-// threshold sits where the hit+multi window (2·n/8 bytes) clears a typical
-// L3 slice. The thresholds are package variables only so the differential
-// tests can force either path on small inputs; production code never
-// mutates them.
-const sparseChunkShift = 16 // 64k receivers per chunk: 8 KiB of hit bits
-
-var (
-	sparseChunkMinVerts = 64 << 20 // 2·n/8 = 16 MiB of accumulator: past L3
-	sparseChunkMinArcs  = 1 << 15  // light rounds: bucketing overhead beats locality gains
-)
-
-// sparseScratch extends the bitset accumulators with the arc-bucketing
-// arena of the chunked scatter. All slices are reused round over round and
-// sized by the largest round seen, so per-trial memory stays O(n + round
-// arcs) with no allocation in steady state.
-type sparseScratch struct {
-	stepScratch
-	frontier []int32 // this round's transmitting vertices
-	counts   []int32 // per-chunk arc counts, then prefix-summed ends
-	cursors  []int32 // per-chunk placement cursors
-	arcs     []int32 // receiver ids bucketed by chunk
-}
-
-// sparseAccumulate runs the shared first half of a sparse round: collect
-// the frontier, scatter every sender's CSR neighbor list into the hit and
-// multi accumulators (receiver-chunked when the round is heavy), update
-// Round/Transmissions/Collisions, and leave newly = hit \ multi \ active
-// for the caller's commit rule. Both the unit-disk commit (stepSparse) and
-// the jamming model's candidate collection consume it.
-func (n *Network) sparseAccumulate(transmit []bool) *sparseScratch {
-	if n.sparse == nil {
-		n.sparse = &sparseScratch{stepScratch: *newStepScratch(n.G.N())}
-	}
-	sc := n.sparse
-	sc.active.Clear()
-	sc.hit.Clear()
-	sc.multi.Clear()
-	sc.frontier = sc.frontier[:0]
-	arcTotal := 0
-	for v, inf := range n.Informed {
-		if !inf || !transmit[v] {
-			continue
-		}
-		sc.active.Add(v)
-		sc.frontier = append(sc.frontier, int32(v))
-		arcTotal += n.G.Degree(v)
-	}
-	n.Round++
-	n.Transmissions += len(sc.frontier)
-	if n.G.N() >= sparseChunkMinVerts && arcTotal >= sparseChunkMinArcs {
-		sc.scatterChunked(n.G, arcTotal)
-	} else {
-		for _, v := range sc.frontier {
-			sc.hit.ScatterCover(sc.multi, n.G.Neighbors(int(v)))
-		}
-	}
 	n.Collisions += sc.multi.SubtractCount(sc.active)
 	sc.newly.Copy(sc.hit)
 	sc.newly.Subtract(sc.multi)
@@ -298,43 +142,8 @@ func (n *Network) sparseAccumulate(transmit []bool) *sparseScratch {
 	return sc
 }
 
-// scatterChunked performs the round's scatter in receiver-chunk order:
-// count arcs per chunk, prefix-sum, place every receiver id into its
-// chunk's bucket, then scatter one chunk at a time so the accumulator
-// window stays cache-resident. The set arithmetic is order-independent, so
-// the result is bit-identical to the direct scatter.
-func (sc *sparseScratch) scatterChunked(g *graph.Graph, arcTotal int) {
-	numChunks := (g.N()-1)>>sparseChunkShift + 1
-	if cap(sc.counts) < numChunks+1 {
-		sc.counts = make([]int32, numChunks+1)
-		sc.cursors = make([]int32, numChunks)
-	}
-	counts := sc.counts[:numChunks+1]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, v := range sc.frontier {
-		for _, w := range g.Neighbors(int(v)) {
-			counts[int(w)>>sparseChunkShift+1]++
-		}
-	}
-	for c := 0; c < numChunks; c++ {
-		counts[c+1] += counts[c]
-	}
-	cursors := sc.cursors[:numChunks]
-	copy(cursors, counts[:numChunks])
-	if cap(sc.arcs) < arcTotal {
-		sc.arcs = make([]int32, arcTotal)
-	}
-	arcs := sc.arcs[:arcTotal]
-	for _, v := range sc.frontier {
-		for _, w := range g.Neighbors(int(v)) {
-			c := int(w) >> sparseChunkShift
-			arcs[cursors[c]] = w
-			cursors[c]++
-		}
-	}
-	for c := 0; c < numChunks; c++ {
-		sc.hit.ScatterCover(sc.multi, arcs[counts[c]:counts[c+1]])
-	}
-}
+// Step executes one synchronous round in which exactly the informed
+// vertices marked by transmit send, under the installed model (UnitDisk
+// unless UseModel chose another), and returns the number of newly
+// informed vertices.
+func (n *Network) Step(transmit []bool) int { return n.model.Step(n, transmit) }

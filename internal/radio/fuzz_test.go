@@ -6,10 +6,23 @@ import (
 	"wexp/internal/graph"
 )
 
+// fuzzGraph builds an n-vertex graph from fuzzer-owned edge bytes.
+func fuzzGraph(n int, edges []byte) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for i := 0; i+1 < len(edges); i += 2 {
+		u, v := int(edges[i])%n, int(edges[i+1])%n
+		if u != v {
+			b.MustAddEdge(u, v)
+		}
+	}
+	return b.Build()
+}
+
 // FuzzRadioModels checks the cross-model invariants over adversarial
 // (graph, model, transmit) inputs: the informed set only ever grows, the
-// informed count matches the flags, per-round stats are monotone, and the
-// UnitDisk model agrees bit-for-bit with the scalar oracle.
+// informed count matches the flags, per-round stats are monotone, dense
+// rows and the CSR scatter agree bit for bit, and the exactly-one models
+// (unit-disk, multi-message, jam) agree with their counting oracles.
 func FuzzRadioModels(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 2, 3}, []byte{0, 2, 1}, uint8(0))
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 4, 5}, []byte{0, 4, 5, 1}, uint8(1))
@@ -18,14 +31,7 @@ func FuzzRadioModels(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint8(4))
 	f.Fuzz(func(t *testing.T, edges, transmitters []byte, sel uint8) {
 		const n = 24
-		b := graph.NewBuilder(n)
-		for i := 0; i+1 < len(edges); i += 2 {
-			u, v := int(edges[i])%n, int(edges[i+1])%n
-			if u != v {
-				b.MustAddEdge(u, v)
-			}
-		}
-		g := b.Build()
+		g := fuzzGraph(n, edges)
 		models := []Model{
 			UnitDisk{},
 			&SINR{Alpha: 1, Beta: 0.5, N0: 0.1, Power: 1},
@@ -34,12 +40,17 @@ func FuzzRadioModels(f *testing.F) {
 			&Jam{Budget: int(sel) % 4, Policy: []string{JamByDegree, JamByFrontier}[int(sel/4)%2]},
 		}
 		m := models[int(sel)%len(models)]
-		net, err := NewNetwork(g, 0)
-		if err != nil {
-			t.Fatal(err)
+		ref := oracleFor(m)
+		nets := make([]*Network, 3) // dense rows, CSR scatter, oracle
+		for i, rows := range []*AdjRows{newAdjRows(g, true), newAdjRows(g, false), nil} {
+			net, err := NewNetworkRows(g, 0, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.UseModel(m, uint64(sel))
+			nets[i] = net
 		}
-		net.UseModel(m, uint64(sel))
-		oracle, _ := NewNetwork(g, 0) // tracks UnitDisk only
+		net := nets[0]
 		prevInformed := make([]bool, n)
 		copy(prevInformed, net.Informed)
 		prevCount := net.InformedCount
@@ -48,7 +59,7 @@ func FuzzRadioModels(f *testing.F) {
 			for i := round; i < len(transmitters); i += 4 {
 				transmit[int(transmitters[i])%n] = true
 			}
-			newly := net.StepRound(transmit)
+			newly := net.Step(transmit)
 			if newly < 0 {
 				t.Fatalf("round %d: negative newly %d", round, newly)
 			}
@@ -73,17 +84,15 @@ func FuzzRadioModels(f *testing.F) {
 			if net.Collisions < 0 || net.Transmissions < 0 {
 				t.Fatalf("round %d: negative stats", round)
 			}
-			if _, isUD := m.(UnitDisk); isUD {
-				ns := oracle.StepScalar(transmit)
-				if ns != newly || oracle.InformedCount != net.InformedCount ||
-					oracle.Collisions != net.Collisions || oracle.Transmissions != net.Transmissions {
-					t.Fatalf("round %d: UnitDisk model diverged from scalar oracle", round)
+			if nc := nets[1].Step(transmit); nc != newly {
+				t.Fatalf("round %d: %s newly %d (csr) != %d (dense)", round, m.Name(), nc, newly)
+			}
+			compareNetworks(t, nets[1], net)
+			if ref != nil {
+				if no := ref(nets[2], transmit); no != newly {
+					t.Fatalf("round %d: %s newly %d (oracle) != %d (dense)", round, m.Name(), no, newly)
 				}
-				for v := 0; v < n; v++ {
-					if oracle.Informed[v] != net.Informed[v] {
-						t.Fatalf("round %d: UnitDisk Informed[%d] mismatch", round, v)
-					}
-				}
+				compareNetworks(t, nets[2], net)
 			}
 			copy(prevInformed, net.Informed)
 			prevCount = net.InformedCount
@@ -92,11 +101,12 @@ func FuzzRadioModels(f *testing.F) {
 }
 
 // FuzzRadioStep feeds arbitrary (graph, informed set, transmit masks)
-// triples to both engines and requires bit-for-bit agreement on every
+// triples to the unit-disk step on dense rows, on the CSR scatter and to
+// the counting oracle, and requires bit-for-bit agreement on every
 // observable — the same contract the differential corpus checks, but over
 // adversarial inputs: the fuzzer owns the edge list, the pre-informed
 // set, and three consecutive rounds of transmit flags (including flags on
-// uninformed vertices, which both engines must ignore).
+// uninformed vertices, which every path must ignore).
 func FuzzRadioStep(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2}, []byte{0}, []byte{0, 2})
 	f.Add([]byte{0, 1, 0, 2, 1, 2}, []byte{0, 1}, []byte{0, 1, 2})
@@ -104,29 +114,13 @@ func FuzzRadioStep(f *testing.F) {
 	f.Add([]byte{3, 7, 7, 11, 11, 3, 1, 2}, []byte{3, 9}, []byte{7, 3, 9, 1})
 	f.Fuzz(func(t *testing.T, edges, informed, transmitters []byte) {
 		const n = 24
-		b := graph.NewBuilder(n)
-		for i := 0; i+1 < len(edges); i += 2 {
-			u, v := int(edges[i])%n, int(edges[i+1])%n
-			if u != v {
-				b.MustAddEdge(u, v)
-			}
-		}
-		g := b.Build()
-		rows := BuildAdjRows(g)
-		rows.vector = true // always exercise the word-parallel kernel
-		vec, err := NewNetworkRows(g, 0, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sca, _ := NewNetwork(g, 0)
+		g := fuzzGraph(n, edges)
+		dense, csr, oracle := lockstepNets(t, g, 0, UnitDisk{})
 		for _, raw := range informed {
 			v := int(raw) % n
-			if !vec.Informed[v] {
-				vec.Informed[v] = true
-				vec.InformedCount++
-				sca.Informed[v] = true
-				sca.InformedCount++
-			}
+			dense.inform(v)
+			csr.inform(v)
+			oracle.inform(v)
 		}
 		// Three rounds from the fuzzed transmit bytes: round r uses every
 		// third byte, so multi-round interactions (newly informed vertices
@@ -136,24 +130,12 @@ func FuzzRadioStep(f *testing.F) {
 			for i := round; i < len(transmitters); i += 3 {
 				transmit[int(transmitters[i])%n] = true
 			}
-			nv := vec.Step(transmit)
-			ns := sca.StepScalar(transmit)
-			if nv != ns {
-				t.Fatalf("round %d: newly informed %d (vectorized) != %d (scalar)", round, nv, ns)
+			nd, nc, no := dense.Step(transmit), csr.Step(transmit), stepScalar(oracle, transmit)
+			if nd != no || nc != no {
+				t.Fatalf("round %d: newly informed dense=%d csr=%d oracle=%d", round, nd, nc, no)
 			}
-			if vec.InformedCount != sca.InformedCount ||
-				vec.Collisions != sca.Collisions ||
-				vec.Transmissions != sca.Transmissions {
-				t.Fatalf("round %d: stats diverged: vec{%d,%d,%d} sca{%d,%d,%d}", round,
-					vec.InformedCount, vec.Collisions, vec.Transmissions,
-					sca.InformedCount, sca.Collisions, sca.Transmissions)
-			}
-			for v := 0; v < n; v++ {
-				if vec.Informed[v] != sca.Informed[v] || vec.InformedAt(v) != sca.InformedAt(v) {
-					t.Fatalf("round %d vertex %d: informed %v/%v at %d/%d", round, v,
-						vec.Informed[v], sca.Informed[v], vec.InformedAt(v), sca.InformedAt(v))
-				}
-			}
+			compareNetworks(t, dense, oracle)
+			compareNetworks(t, csr, oracle)
 		}
 	})
 }

@@ -135,14 +135,14 @@ func TestFixedScheduleIgnoresUninformed(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEngineChoice pins the per-graph engine heuristic: dense
-// graphs take the word-parallel path, sparse ones the counting loop (the
+// TestAdaptiveEngineChoice pins the per-graph strategy: dense graphs get
+// bit rows, sparse ones scatter from the CSR and allocate no rows (the
 // outputs are identical either way; this is a performance contract).
 func TestAdaptiveEngineChoice(t *testing.T) {
 	cases := []struct {
-		name   string
-		g      *graph.Graph
-		vector bool
+		name string
+		g    *graph.Graph
+		rows bool
 	}{
 		{"cplus-256", gen.CPlus(255), true},
 		{"er-256-dense", gen.ErdosRenyi(256, 0.1, rng.New(1)), true},
@@ -154,8 +154,8 @@ func TestAdaptiveEngineChoice(t *testing.T) {
 		{"path-500", gen.Path(500), false},
 	}
 	for _, c := range cases {
-		if got := BuildAdjRows(c.g).vector; got != c.vector {
-			t.Errorf("%s: vector=%v, want %v", c.name, got, c.vector)
+		if got := BuildAdjRows(c.g).rows != nil; got != c.rows {
+			t.Errorf("%s: rows built=%v, want %v", c.name, got, c.rows)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // TestLargeGraphStreamingAcceptance is the end-to-end acceptance check for
 // the million-vertex path: a synthetic SNAP-scale edge list is streamed
-// into CSR, the sparse engine runs a Decay Monte-Carlo trial set, and both
+// into CSR, the CSR scatter runs a Decay Monte-Carlo trial set, and both
 // phases are held to the O(n + m)-words memory contract via
 // runtime.ReadMemStats. Results must be bit-identical at workers 1, 2, 8.
 //
@@ -60,10 +60,10 @@ func TestLargeGraphStreamingAcceptance(t *testing.T) {
 		t.Fatalf("ingestion leaves %d bytes live, budget %d (8 words × (n+m) + slack)", liveIngest, budget)
 	}
 
-	// Strategy: a graph this size must select the sparse engine under the
-	// default memory model.
-	if s := BuildAdjRows(g).Strategy(); s != "sparse" {
-		t.Fatalf("n=%d selected strategy %q, want sparse", n, s)
+	// Strategy: a graph this size must scatter from the CSR, with no bit
+	// rows built.
+	if BuildAdjRows(g).rows != nil {
+		t.Fatalf("n=%d built bit rows, want the CSR scatter", n)
 	}
 
 	factory := func(r *rng.RNG) Protocol { return &Decay{R: r} }

@@ -10,11 +10,13 @@ import (
 	"wexp/internal/rng"
 )
 
-// Model is the pluggable per-round receive rule. The engine's historical
-// behaviour — the Chlamtac–Kutten unit-disk rule "a silent vertex receives
-// iff exactly one neighbor transmits" — is the UnitDisk model; the other
-// models replace or extend that rule while reusing the same Network state,
-// protocols, and Monte-Carlo harness.
+// Model is the pluggable per-round receive rule. The paper's
+// Chlamtac–Kutten unit-disk rule "a silent vertex receives iff exactly
+// one neighbor transmits" is the UnitDisk model, every network's default;
+// the other models replace or extend that rule while reusing the same
+// Network state, protocols, and Monte-Carlo harness. UnitDisk, Jam and
+// MultiMessage share the engine's accumulate pass and differ only in how
+// they commit its exactly-one candidates.
 //
 // Determinism contract: a model execution is a pure function of (graph,
 // source, transmit sets, model parameters, fork salt). Models that need
@@ -163,10 +165,8 @@ func ParseModel(spec string) (Model, error) {
 func fmtParam(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // UnitDisk is the paper's collision rule as a Model: a silent vertex
-// receives iff exactly one neighbor transmits. It delegates to the engine's
-// Step, so its results are bit-identical to the pre-model engine (and to
-// StepScalar, the shared oracle) on every input. Completion is every vertex
-// informed.
+// receives iff exactly one neighbor transmits. It informs every candidate
+// of the engine's accumulate pass. Completion is every vertex informed.
 type UnitDisk struct{}
 
 // Name implements Model.
@@ -178,9 +178,16 @@ func (UnitDisk) Fork(uint64) Model { return UnitDisk{} }
 // Init implements Model.
 func (UnitDisk) Init(*Network) {}
 
-// Step implements Model by delegating to the engine's adaptive
-// scalar/word-parallel step.
-func (UnitDisk) Step(n *Network, transmit []bool) int { return n.Step(transmit) }
+// Step implements Model.
+func (UnitDisk) Step(n *Network, transmit []bool) int {
+	newly := 0
+	for v := range n.accumulate(transmit).newly.All() {
+		if n.inform(v) {
+			newly++
+		}
+	}
+	return newly
+}
 
 // Done implements Model.
 func (UnitDisk) Done(n *Network) bool { return n.InformedCount == n.G.N() }
@@ -359,8 +366,6 @@ type MultiMessage struct {
 	M int // number of messages, 1 ≤ M ≤ 64
 
 	have []uint64 // per-vertex message bitmask
-	hits []int32
-	from []int32 // sole transmitting neighbor when hits==1
 }
 
 // Name implements Model.
@@ -382,8 +387,6 @@ func (m *MultiMessage) full() uint64 {
 func (m *MultiMessage) Init(n *Network) {
 	nv := n.G.N()
 	m.have = make([]uint64, nv)
-	m.hits = make([]int32, nv)
-	m.from = make([]int32, nv)
 	stride := (nv + m.M - 1) / m.M
 	if stride < 1 {
 		stride = 1
@@ -399,35 +402,38 @@ func (m *MultiMessage) Init(n *Network) {
 // testing/analysis hook; protocols must not use it.
 func (m *MultiMessage) Holds(v, j int) bool { return m.have[v]&(uint64(1)<<uint(j)) != 0 }
 
-// Step implements Model. In-place commit is safe: new message bits only
-// flow out of transmitters, and transmitters (not silent) never receive,
-// so no mask read during the commit phase was written this round.
+// Step implements Model: each candidate of the accumulate pass, informed
+// or not, merges the message set of its sole transmitting neighbor. The
+// pairs are found from the cheaper side: a candidate scans its own
+// neighbor list up to its sender (half a list on average), a sender its
+// whole list for candidates, so the senders' lists are walked when there
+// are fewer than half as many senders as candidates. In-place merging is
+// safe: new message bits only flow out of transmitters, and transmitters
+// (not silent) never receive, so no mask read this round is written.
 func (m *MultiMessage) Step(n *Network, transmit []bool) int {
-	for i := range m.hits {
-		m.hits[i] = 0
-	}
-	for v := 0; v < n.G.N(); v++ {
-		if !transmit[v] || !n.Informed[v] {
-			continue
-		}
-		n.Transmissions++
-		for _, w := range n.G.Neighbors(v) {
-			m.hits[w]++
-			m.from[w] = int32(v)
-		}
-	}
-	n.Round++
-	newly := 0
-	for v := 0; v < n.G.N(); v++ {
-		switch {
-		case transmit[v] && n.Informed[v]:
-		case m.hits[v] == 1:
-			m.have[v] |= m.have[m.from[v]]
-			if n.inform(v) {
-				newly++
+	sc := n.accumulate(transmit)
+	if 2*sc.active.Count() < sc.newly.Count() {
+		for v := range sc.active.All() {
+			for _, w := range n.G.Neighbors(v) {
+				if sc.newly.Contains(int(w)) {
+					m.have[w] |= m.have[v]
+				}
 			}
-		case m.hits[v] >= 2:
-			n.Collisions++
+		}
+	} else {
+		for v := range sc.newly.All() {
+			for _, w := range n.G.Neighbors(v) {
+				if sc.active.Contains(int(w)) {
+					m.have[v] |= m.have[w]
+					break
+				}
+			}
+		}
+	}
+	newly := 0
+	for v := range sc.newly.All() {
+		if n.inform(v) {
+			newly++
 		}
 	}
 	return newly
@@ -462,17 +468,14 @@ const (
 //
 // With Budget ≥ 1 a broadcast can never complete: the last uninformed
 // vertex is always within the jammer's budget, so experiments should read
-// the informed plateau rather than completion. Fully deterministic; like
-// UnitDisk it has both a scalar and a word-parallel path (reusing the
-// engine's AccumulateCover machinery), chosen per graph and bit-identical
-// to each other.
+// the informed plateau rather than completion. Fully deterministic; the
+// candidates come from the engine's accumulate pass, and the jammer is a
+// receiver mask over them.
 type Jam struct {
 	Budget int    // receptions silenced per round
 	Policy string // JamByDegree (default) or JamByFrontier
 
 	cands []int32
-	sc    *stepScratch
-	hits  []int32
 }
 
 // Name implements Model.
@@ -490,27 +493,11 @@ func (m *Jam) Fork(uint64) Model { return &Jam{Budget: m.Budget, Policy: m.Polic
 // Init implements Model.
 func (m *Jam) Init(*Network) {}
 
-// Step implements Model, delegating to the sparse, word-parallel, or
-// scalar path by the graph's AdjRows decision (same rule the engine's Step
-// uses).
+// Step implements Model: the uninformed candidates of the accumulate
+// pass, ascending by id, go through commit.
 func (m *Jam) Step(n *Network, transmit []bool) int {
-	switch {
-	case n.rows.kind == rowsSparse:
-		return m.stepSparse(n, transmit)
-	case n.rows.vector:
-		return m.stepVector(n, transmit)
-	default:
-		return m.stepScalar(n, transmit)
-	}
-}
-
-// stepSparse is the CSR-backed path: the shared sparse accumulator pass
-// computes newly = hit \ multi \ active, and the jammer's commit rule
-// silences the top-Budget candidates exactly as on the other paths.
-func (m *Jam) stepSparse(n *Network, transmit []bool) int {
-	sc := n.sparseAccumulate(transmit)
 	m.cands = m.cands[:0]
-	for v := range sc.newly.All() {
+	for v := range n.accumulate(transmit).newly.All() {
 		if !n.Informed[v] {
 			m.cands = append(m.cands, int32(v))
 		}
@@ -551,73 +538,6 @@ func (m *Jam) commit(n *Network, cands []int32) int {
 		}
 	}
 	return newly
-}
-
-func (m *Jam) stepScalar(n *Network, transmit []bool) int {
-	if m.hits == nil {
-		m.hits = make([]int32, n.G.N())
-	}
-	for i := range m.hits {
-		m.hits[i] = 0
-	}
-	for v := 0; v < n.G.N(); v++ {
-		if !transmit[v] || !n.Informed[v] {
-			continue
-		}
-		n.Transmissions++
-		for _, w := range n.G.Neighbors(v) {
-			m.hits[w]++
-		}
-	}
-	n.Round++
-	m.cands = m.cands[:0]
-	for v := 0; v < n.G.N(); v++ {
-		switch {
-		case transmit[v] && n.Informed[v]:
-		case m.hits[v] == 1:
-			if !n.Informed[v] {
-				m.cands = append(m.cands, int32(v))
-			}
-		case m.hits[v] >= 2:
-			n.Collisions++
-		}
-	}
-	return m.commit(n, m.cands)
-}
-
-func (m *Jam) stepVector(n *Network, transmit []bool) int {
-	if m.sc == nil {
-		m.sc = newStepScratch(n.G.N())
-	}
-	sc := m.sc
-	sc.active.Clear()
-	sc.hit.Clear()
-	sc.multi.Clear()
-	dense := n.rows.words
-	for v, inf := range n.Informed {
-		if !inf || !transmit[v] {
-			continue
-		}
-		sc.active.Add(v)
-		if n.G.Degree(v) < dense {
-			sc.hit.ScatterCover(sc.multi, n.G.Neighbors(v))
-		} else {
-			sc.hit.AccumulateCover(sc.multi, n.rows.rows[v])
-		}
-	}
-	n.Round++
-	n.Transmissions += sc.active.Count()
-	n.Collisions += sc.multi.SubtractCount(sc.active)
-	sc.newly.Copy(sc.hit)
-	sc.newly.Subtract(sc.multi)
-	sc.newly.Subtract(sc.active)
-	m.cands = m.cands[:0]
-	for v := range sc.newly.All() {
-		if !n.Informed[v] {
-			m.cands = append(m.cands, int32(v))
-		}
-	}
-	return m.commit(n, m.cands)
 }
 
 // Done implements Model.

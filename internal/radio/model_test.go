@@ -83,11 +83,9 @@ func modelLockstep(t *testing.T, g *graph.Graph, m Model, ref func(n *Network, t
 	proto := &Decay{R: r}
 	transmit := make([]bool, g.N())
 	for mod.Round < maxRounds && !mod.Done() {
-		for i := range transmit {
-			transmit[i] = false
-		}
+		clear(transmit)
 		proto.Transmitters(mod, transmit)
-		nm := mod.StepRound(transmit)
+		nm := mod.Step(transmit)
 		nr := ref(oracle, transmit)
 		if nm != nr {
 			t.Fatalf("round %d: newly informed %d (model) != %d (reference)", mod.Round, nm, nr)
@@ -101,7 +99,7 @@ func modelLockstep(t *testing.T, g *graph.Graph, m Model, ref func(n *Network, t
 func TestFadingZeroPMatchesOracle(t *testing.T) {
 	for name, g := range corpusGraphs(rng.New(1)) {
 		t.Run(name, func(t *testing.T) {
-			modelLockstep(t, g, &Fading{P: 0}, (*Network).StepScalar, 200)
+			modelLockstep(t, g, &Fading{P: 0}, stepScalar, 200)
 		})
 	}
 }
@@ -111,7 +109,7 @@ func TestFadingZeroPMatchesOracle(t *testing.T) {
 func TestMultiMessageSingleMatchesOracle(t *testing.T) {
 	for name, g := range corpusGraphs(rng.New(2)) {
 		t.Run(name, func(t *testing.T) {
-			modelLockstep(t, g, &MultiMessage{M: 1}, (*Network).StepScalar, 200)
+			modelLockstep(t, g, &MultiMessage{M: 1}, stepScalar, 200)
 		})
 	}
 }
@@ -120,48 +118,20 @@ func TestMultiMessageSingleMatchesOracle(t *testing.T) {
 func TestJamZeroBudgetMatchesOracle(t *testing.T) {
 	for name, g := range corpusGraphs(rng.New(3)) {
 		t.Run(name, func(t *testing.T) {
-			modelLockstep(t, g, &Jam{Budget: 0}, (*Network).StepScalar, 200)
+			modelLockstep(t, g, &Jam{Budget: 0}, stepScalar, 200)
 		})
 	}
 }
 
-// TestJamScalarVectorAgree is the jam model's own differential test: the
-// word-parallel path must match the scalar path on every observable, for
-// both policies.
+// TestJamScalarVectorAgree is the jam model's own differential test:
+// dense rows, the CSR scatter and the counting oracle must agree on every
+// observable, for both policies.
 func TestJamScalarVectorAgree(t *testing.T) {
 	for _, policy := range []string{JamByDegree, JamByFrontier} {
 		r := rng.New(11)
 		for name, g := range corpusGraphs(r) {
 			t.Run(policy+"/"+name, func(t *testing.T) {
-				rows := BuildAdjRows(g)
-				rows.vector = true
-				vec, err := NewNetworkRows(g, 0, rows)
-				if err != nil {
-					t.Fatal(err)
-				}
-				vec.UseModel(&Jam{Budget: 2, Policy: policy}, 0)
-				sparse := BuildAdjRows(g)
-				sparse.vector = false
-				sca, err := NewNetworkRows(g, 0, sparse)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sca.UseModel(&Jam{Budget: 2, Policy: policy}, 0)
-				pr := rng.New(9)
-				proto := &Decay{R: pr}
-				transmit := make([]bool, g.N())
-				for round := 0; round < 120; round++ {
-					for i := range transmit {
-						transmit[i] = false
-					}
-					proto.Transmitters(vec, transmit)
-					nv := vec.StepRound(transmit)
-					ns := sca.StepRound(transmit)
-					if nv != ns {
-						t.Fatalf("round %d: newly %d (vector) != %d (scalar)", vec.Round, nv, ns)
-					}
-					compareNetworks(t, vec, sca)
-				}
+				lockstep(t, g, 0, &Decay{R: rng.New(9)}, &Jam{Budget: 2, Policy: policy}, 120)
 			})
 		}
 	}
@@ -225,7 +195,7 @@ func TestSINRSingleTransmitterAlwaysDelivers(t *testing.T) {
 	n.UseModel(&SINR{Alpha: 1, Beta: 0.5, N0: 0.1, Power: 1}, 0)
 	transmit := make([]bool, g.N())
 	transmit[0] = true
-	if newly := n.StepRound(transmit); newly != g.N()-1 {
+	if newly := n.Step(transmit); newly != g.N()-1 {
 		t.Fatalf("single transmitter informed %d of %d neighbors", newly, g.N()-1)
 	}
 	if !n.Done() {
@@ -249,7 +219,7 @@ func TestFadingDeterminism(t *testing.T) {
 				transmit[i] = false
 			}
 			proto.Transmitters(n, transmit)
-			n.StepRound(transmit)
+			n.Step(transmit)
 		}
 		return n
 	}
@@ -296,7 +266,7 @@ func TestMultiMessageCompletion(t *testing.T) {
 			transmit[i] = false
 		}
 		proto.Transmitters(n, transmit)
-		n.StepRound(transmit)
+		n.Step(transmit)
 	}
 	if !n.Done() {
 		t.Fatalf("multi-message broadcast did not complete in %d rounds", n.Round)
@@ -369,9 +339,9 @@ func TestModelMonteCarloWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestUnitDiskModelMatchesLegacyMonteCarlo: routing through the UnitDisk
-// model changes nothing but the Model label — protocol RNG streams are
-// untouched, so every aggregate byte matches a nil-model (legacy) run.
+// TestUnitDiskModelMatchesLegacyMonteCarlo: naming the UnitDisk model
+// explicitly changes nothing but the Model label — protocol RNG streams
+// are untouched, so every aggregate byte matches a nil-model run.
 func TestUnitDiskModelMatchesLegacyMonteCarlo(t *testing.T) {
 	g := gen.CPlus(20)
 	opt := Options{RunOpts: runopts.RunOpts{Seed: 13}, MaxRounds: 4000}

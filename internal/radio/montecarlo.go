@@ -47,20 +47,17 @@ type Options struct {
 	// DefaultTraceRounds, negative = none). Totals and per-trial records
 	// always cover the full run regardless of this cap.
 	TraceRounds int
-	// Model selects the per-round receive rule (nil = the legacy
-	// unit-disk path, byte-identical to runs predating the Model
-	// subsystem). Each trial gets a private fork whose salt is pre-split
-	// from a dedicated stream, so trial RNG streams for protocols are
-	// unchanged and aggregates stay bit-identical at any worker count.
+	// Model selects the per-round receive rule (nil = UnitDisk, with
+	// Result.Model left empty so the serialized form matches runs
+	// predating the Model subsystem). Each trial gets a private fork whose
+	// salt is pre-split from a dedicated stream, so trial RNG streams for
+	// protocols are unchanged and aggregates stay bit-identical at any
+	// worker count.
 	Model Model
 	// Ctx, when non-nil, cancels the run: workers observe it at trial
 	// boundaries and MonteCarlo returns Ctx.Err(). A nil Ctx means run to
 	// completion.
 	Ctx context.Context
-	// Mem is the explicit memory model that picks the adjacency strategy
-	// (dense bit rows vs sparse CSR traversal). The zero value selects the
-	// defaults; see MemModel.
-	Mem MemModel
 }
 
 // TrialResult is the per-trial record of a Monte-Carlo run.
@@ -91,8 +88,8 @@ type RoundSummary struct {
 // Options.MaxRounds, Options.TraceRounds) — the worker count never shows.
 type Result struct {
 	Protocol string `json:"protocol"`
-	// Model is the canonical receive-rule name; empty on legacy runs
-	// (Options.Model == nil) so their serialized form is unchanged.
+	// Model is the canonical receive-rule name; empty when Options.Model
+	// is nil, so the serialized form of unit-disk runs is unchanged.
 	Model     string `json:"model,omitempty"`
 	Trials    int    `json:"trials"`
 	Completed int    `json:"completed"` // trials that met the model's completion condition
@@ -138,7 +135,11 @@ func MonteCarlo(g *graph.Graph, source int, factory Factory, trials int, opt Opt
 	if traceRounds > maxRounds {
 		traceRounds = maxRounds
 	}
-	rows := BuildAdjRowsMem(g, opt.Mem)
+	rows := BuildAdjRows(g)
+	model := opt.Model
+	if model == nil {
+		model = UnitDisk{}
+	}
 
 	// Pre-split one stream per trial in index order: the only RNG
 	// consumption that depends on anything but the trial index.
@@ -148,16 +149,12 @@ func MonteCarlo(g *graph.Graph, source int, factory Factory, trials int, opt Opt
 		rngs[i] = parent.Split()
 	}
 
-	// Per-trial model salts come from their own stream so installing a
-	// model never perturbs the protocol streams above: a UnitDisk run
-	// replays a legacy run bit for bit.
-	var modelSalts []uint64
-	if opt.Model != nil {
-		ms := rng.New(opt.Seed ^ rng.Salt("radio/model"))
-		modelSalts = make([]uint64, trials)
-		for i := range modelSalts {
-			modelSalts[i] = ms.Uint64()
-		}
+	// Per-trial model salts come from their own stream so the model never
+	// perturbs the protocol streams above.
+	ms := rng.New(opt.Seed ^ rng.Salt("radio/model"))
+	modelSalts := make([]uint64, trials)
+	for i := range modelSalts {
+		modelSalts[i] = ms.Uint64()
 	}
 
 	type trialOut struct {
@@ -169,7 +166,7 @@ func MonteCarlo(g *graph.Graph, source int, factory Factory, trials int, opt Opt
 	outs := make([]trialOut, trials)
 
 	// Trial arenas: a Network (with its informed/informed-at arrays and
-	// lazily built engine scratch) plus a transmit slice together cost
+	// lazily built accumulators) plus a transmit slice together cost
 	// O(n + m') words at large n, so allocating them per trial would make
 	// peak memory grow with the trial count between GC cycles. The pool
 	// bounds steady state to O(workers) arenas: each worker recycles the
@@ -194,20 +191,16 @@ func MonteCarlo(g *graph.Graph, source int, factory Factory, trials int, opt Opt
 			arena = &trialArena{net: net, transmit: make([]bool, g.N())}
 		}
 		net := arena.net
-		if opt.Model != nil {
-			net.UseModel(opt.Model, modelSalts[i])
-		}
+		net.UseModel(model, modelSalts[i])
 		var trace []int32
 		if traceRounds > 0 {
 			trace = append(trace, int32(net.InformedCount))
 		}
 		transmit := arena.transmit
 		for net.Round < maxRounds && !net.Done() {
-			for j := range transmit {
-				transmit[j] = false
-			}
+			clear(transmit)
 			p.Transmitters(net, transmit)
-			net.StepRound(transmit)
+			net.Step(transmit)
 			if net.Round <= traceRounds {
 				trace = append(trace, int32(net.InformedCount))
 			}

@@ -29,15 +29,13 @@ type Network struct {
 	Collisions    int // vertex-rounds in which ≥2 neighbors transmitted
 	Transmissions int // total transmit actions
 	InformedCount int
-	receivedHits  []int32 // scalar-engine scratch, allocated on first StepScalar
 	informedAtRnd []int32 // round at which each vertex became informed (-1 if never)
 
-	rows    *AdjRows       // shared adjacency strategy (bit rows or CSR-only)
-	scratch *stepScratch   // dense-engine scratch, allocated on first vectorized Step
-	sparse  *sparseScratch // sparse-engine scratch, allocated on first sparse Step
+	rows    *AdjRows     // shared adjacency (bit rows or CSR only)
+	scratch *stepScratch // accumulators, allocated on the first accumulate
 
 	source int   // broadcast origin, recorded for models that seed extra state
-	model  Model // receive-rule override; nil = the legacy unit-disk fast path
+	model  Model // the receive rule; UnitDisk unless UseModel installed another
 }
 
 // NewNetwork creates a network with the single source informed at round 0.
@@ -58,10 +56,9 @@ func NewNetworkRows(g *graph.Graph, source int, rows *AdjRows) (*Network, error)
 	} else if rows.n != g.N() {
 		return nil, fmt.Errorf("radio: adjacency rows built for n=%d, graph has n=%d", rows.n, g.N())
 	}
-	// Engine scratch (receivedHits for the scalar path, scratch bitsets
-	// for the vectorized one) is allocated lazily by the step that needs
-	// it: MonteCarlo creates one Network per trial and only ever runs one
-	// of the two engines.
+	// The accumulator bitsets are allocated lazily by the first step, so
+	// networks of models with their own loops (SINR, Fading) never pay
+	// for them.
 	n := &Network{
 		G:        g,
 		Informed: make([]bool, g.N()),
@@ -77,106 +74,42 @@ func NewNetworkRows(g *graph.Graph, source int, rows *AdjRows) (*Network, error)
 // source informed, keeping every allocation (Informed, informed-at rounds,
 // engine scratch) for reuse. MonteCarlo's trial arenas recycle networks
 // through it so steady-state memory stays O(workers × per-trial scratch)
-// regardless of the trial count. The caller must re-install any Model.
+// regardless of the trial count. The model is reset to UnitDisk; the
+// caller must re-install any other Model.
 func (n *Network) resetFor(source int) {
 	clear(n.Informed)
 	for i := range n.informedAtRnd {
 		n.informedAtRnd[i] = -1
 	}
 	n.Round, n.Collisions, n.Transmissions = 0, 0, 0
-	n.model = nil
+	n.model = UnitDisk{}
 	n.source = source
 	n.Informed[source] = true
 	n.informedAtRnd[source] = 0
 	n.InformedCount = 1
 }
 
-// StepScalar executes one synchronous round with the original per-vertex
-// counting loop. It is the correctness oracle for the word-parallel Step:
-// both compute identical Informed, Collisions, Transmissions, and
-// informed-at rounds on every input (enforced by the differential corpus
-// and FuzzRadioStep). Vertices that are not informed cannot transmit
-// (their flag is ignored): a processor cannot send a message it does not
-// hold. Returns the number of newly informed vertices.
-func (n *Network) StepScalar(transmit []bool) int {
-	if n.receivedHits == nil {
-		n.receivedHits = make([]int32, n.G.N())
-	}
-	hits := n.receivedHits
-	for i := range hits {
-		hits[i] = 0
-	}
-	for v := 0; v < n.G.N(); v++ {
-		if !transmit[v] || !n.Informed[v] {
-			continue
-		}
-		n.Transmissions++
-		for _, w := range n.G.Neighbors(v) {
-			hits[w]++
-		}
-	}
-	n.Round++
-	newly := 0
-	for v := 0; v < n.G.N(); v++ {
-		switch {
-		case transmit[v] && n.Informed[v]:
-			// A transmitting processor receives nothing this round (it is
-			// not silent), but it is already informed so nothing changes.
-		case hits[v] == 1:
-			if !n.Informed[v] {
-				n.Informed[v] = true
-				n.informedAtRnd[v] = int32(n.Round)
-				newly++
-				n.InformedCount++
-			}
-		case hits[v] >= 2:
-			n.Collisions++
-		}
-	}
-	return newly
-}
-
-// Done reports whether the execution's completion condition holds: every
-// vertex informed under the default rule, or the installed Model's
-// condition (e.g. MultiMessage requires every vertex to hold all M
-// messages).
-func (n *Network) Done() bool {
-	if n.model != nil {
-		return n.model.Done(n)
-	}
-	return n.InformedCount == n.G.N()
-}
+// Done reports whether the installed Model's completion condition holds:
+// every vertex informed under unit-disk, every vertex holding all M
+// messages under MultiMessage.
+func (n *Network) Done() bool { return n.model.Done(n) }
 
 // Source returns the broadcast origin the network was built with.
 func (n *Network) Source() int { return n.source }
 
-// UseModel installs the receive-rule model for this execution: the model
-// is forked with salt (giving it private state and its random identity)
-// and initialized against the network. A nil model restores the default
-// unit-disk rule.
+// UseModel installs the receive-rule model m (non-nil) for this
+// execution: the model is forked with salt (giving it private state and
+// its random identity) and initialized against the network. A network
+// starts under UnitDisk.
 func (n *Network) UseModel(m Model, salt uint64) {
-	if m == nil {
-		n.model = nil
-		return
-	}
 	n.model = m.Fork(salt)
 	n.model.Init(n)
 }
 
-// StepRound executes one synchronous round under the installed model
-// (unit-disk when none is installed) and returns the number of newly
-// informed vertices.
-func (n *Network) StepRound(transmit []bool) int {
-	if n.model == nil {
-		return n.Step(transmit)
-	}
-	return n.model.Step(n, transmit)
-}
-
 // inform marks v informed at the current round if it is not already,
-// reporting whether it was newly informed. Models use it so informed-at
-// rounds and the informed count stay consistent with the engine's own
-// bookkeeping.
+// reporting whether it was newly informed. Every model commits its
+// receptions through it, so informed-at rounds and the informed count
+// stay consistent.
 func (n *Network) inform(v int) bool {
 	if n.Informed[v] {
 		return false
@@ -227,26 +160,11 @@ type RunResult struct {
 
 // Run executes the protocol until broadcast completes or maxRounds elapse.
 func Run(g *graph.Graph, source int, p Protocol, maxRounds int) (RunResult, error) {
-	n, err := NewNetwork(g, source)
+	n, err := RunNetwork(g, source, p, maxRounds)
 	if err != nil {
 		return RunResult{}, err
 	}
-	transmit := make([]bool, g.N())
-	for n.Round < maxRounds && !n.Done() {
-		for i := range transmit {
-			transmit[i] = false
-		}
-		p.Transmitters(n, transmit)
-		n.Step(transmit)
-	}
-	return RunResult{
-		Protocol:      p.Name(),
-		Rounds:        n.Round,
-		Completed:     n.Done(),
-		InformedCount: n.InformedCount,
-		Collisions:    n.Collisions,
-		Transmissions: n.Transmissions,
-	}, nil
+	return n.summary(p), nil
 }
 
 // RunNetwork executes the protocol like Run but returns the final Network,
@@ -259,11 +177,21 @@ func RunNetwork(g *graph.Graph, source int, p Protocol, maxRounds int) (*Network
 	}
 	transmit := make([]bool, g.N())
 	for n.Round < maxRounds && !n.Done() {
-		for i := range transmit {
-			transmit[i] = false
-		}
+		clear(transmit)
 		p.Transmitters(n, transmit)
 		n.Step(transmit)
 	}
 	return n, nil
+}
+
+// summary is the RunResult of protocol p's execution on n so far.
+func (n *Network) summary(p Protocol) RunResult {
+	return RunResult{
+		Protocol:      p.Name(),
+		Rounds:        n.Round,
+		Completed:     n.Done(),
+		InformedCount: n.InformedCount,
+		Collisions:    n.Collisions,
+		Transmissions: n.Transmissions,
+	}
 }

@@ -1,7 +1,6 @@
 package radio
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -12,173 +11,54 @@ import (
 	"wexp/internal/runopts"
 )
 
-// sparseRows forces the CSR-backed sparse strategy on any graph by
-// shrinking the dense-row budget to one byte.
-func sparseRows(g *graph.Graph) *AdjRows {
-	return BuildAdjRowsMem(g, MemModel{DenseRowBudget: 1})
+// exactlyOneModels are the models that commit the engine's accumulate
+// pass, each with a counting oracle: jam under both policies and
+// multi-message (unit-disk has the corpus of diff_test.go).
+func exactlyOneModels() []Model {
+	return []Model{
+		&Jam{Budget: 1, Policy: JamByDegree},
+		&Jam{Budget: 2, Policy: JamByFrontier},
+		&MultiMessage{M: 3},
+	}
 }
 
-// setChunkThresholds overrides the receiver-chunking thresholds for the
-// duration of a test so the chunked scatter runs on corpus-sized graphs.
-func setChunkThresholds(t *testing.T, minVerts, minArcs int) {
-	t.Helper()
-	savedV, savedA := sparseChunkMinVerts, sparseChunkMinArcs
-	sparseChunkMinVerts, sparseChunkMinArcs = minVerts, minArcs
-	t.Cleanup(func() {
-		sparseChunkMinVerts, sparseChunkMinArcs = savedV, savedA
+// TestSparseStepMatchesScalarCorpus is the model leg of the differential
+// corpus: every family × protocol × seed runs jam (both policies) and
+// multi-message on dense rows, on the CSR scatter and through their
+// counting oracles in lockstep.
+func TestSparseStepMatchesScalarCorpus(t *testing.T) {
+	forCorpus(t, func(t *testing.T, g *graph.Graph, proto Protocol) {
+		for _, m := range exactlyOneModels() {
+			lockstep(t, g, 0, proto, m, 80)
+		}
 	})
 }
 
-// lockstepSparse runs proto on four copies of the same network — sparse
-// direct scatter, sparse chunked scatter, dense word-parallel, and the
-// scalar oracle — feeding all the identical transmit set each round, and
-// fails on the first divergence in any observable.
-func lockstepSparse(t *testing.T, g *graph.Graph, source int, proto Protocol, maxRounds int) {
-	t.Helper()
-	srows := sparseRows(g)
-	if srows.Strategy() != "sparse" {
-		t.Fatalf("forced-sparse rows report strategy %q", srows.Strategy())
-	}
-	drows := BuildAdjRows(g)
-	drows.vector = true
-	spd, err := NewNetworkRows(g, source, srows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spc, err := NewNetworkRows(g, source, srows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	den, err := NewNetworkRows(g, source, drows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sca, err := NewNetwork(g, source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transmit := make([]bool, g.N())
-	huge := 1 << 30
-	for spd.Round < maxRounds && !spd.Done() {
-		for i := range transmit {
-			transmit[i] = false
-		}
-		proto.Transmitters(spd, transmit)
-		ns := sca.StepScalar(transmit)
-		// Direct scatter: thresholds out of reach.
-		setChunkThresholds(t, huge, huge)
-		nd := spd.Step(transmit)
-		// Chunked scatter: always bucket.
-		setChunkThresholds(t, 0, 0)
-		nc := spc.Step(transmit)
-		nv := den.Step(transmit)
-		if nd != ns || nc != ns || nv != ns {
-			t.Fatalf("round %d: newly informed scalar=%d sparse-direct=%d sparse-chunked=%d dense=%d",
-				sca.Round, ns, nd, nc, nv)
-		}
-		compareNetworks(t, spd, sca)
-		compareNetworks(t, spc, sca)
-		compareNetworks(t, den, sca)
-	}
-}
-
-// TestSparseStepMatchesScalarCorpus is the sparse leg of the differential
-// corpus: every family × protocol × seed runs the sparse engine (direct
-// and chunked) in lockstep against the scalar oracle and the dense
-// word-parallel path.
-func TestSparseStepMatchesScalarCorpus(t *testing.T) {
-	families := []struct {
-		name string
-		make func(r *rng.RNG) *graph.Graph
-	}{
-		{"path-17", func(*rng.RNG) *graph.Graph { return gen.Path(17) }},
-		{"cycle-24", func(*rng.RNG) *graph.Graph { return gen.Cycle(24) }},
-		{"cplus-12", func(*rng.RNG) *graph.Graph { return gen.CPlus(12) }},
-		{"torus-5x5", func(*rng.RNG) *graph.Graph { return gen.Torus(5, 5) }},
-		{"hypercube-5", func(*rng.RNG) *graph.Graph { return gen.Hypercube(5) }},
-		{"star-16", func(*rng.RNG) *graph.Graph { return gen.Star(16) }},
-		{"er-30", func(r *rng.RNG) *graph.Graph { return gen.ErdosRenyi(30, 0.15, r) }},
-		// n = 70 crosses the one-word boundary of the bitset accumulators.
-		{"er-70", func(r *rng.RNG) *graph.Graph { return gen.ErdosRenyi(70, 0.08, r) }},
-	}
-	protocols := []struct {
-		name string
-		make func(n int, r *rng.RNG) Protocol
-	}{
-		{"flood", func(int, *rng.RNG) Protocol { return Flood{} }},
-		{"round-robin", func(int, *rng.RNG) Protocol { return RoundRobin{} }},
-		{"decay", func(_ int, r *rng.RNG) Protocol { return &Decay{R: r} }},
-		{"prob-flood", func(_ int, r *rng.RNG) Protocol { return &ProbFlood{P: 0.3, R: r} }},
-		{"spokesman", func(_ int, r *rng.RNG) Protocol { return &Spokesman{R: r, Trials: 2} }},
-		{"random-schedule", func(n int, r *rng.RNG) Protocol {
-			sched, err := NewRandomSchedule(n, 16, 0.2, r)
-			if err != nil {
-				panic(err)
-			}
-			return sched
-		}},
-	}
-	for _, fam := range families {
-		for _, pr := range protocols {
-			for seed := uint64(1); seed <= 5; seed++ {
-				t.Run(fmt.Sprintf("%s/%s/seed-%d", fam.name, pr.name, seed), func(t *testing.T) {
-					r := rng.New(seed)
-					g := fam.make(r)
-					lockstepSparse(t, g, 0, pr.make(g.N(), r), 80)
-				})
-			}
-		}
-	}
-}
-
 // TestSparseStepPreinformed covers states a protocol run never reaches
-// from a single source: arbitrary informed sets and transmit flags on
-// uninformed vertices, stepped once per random state on both sparse paths.
+// from a single source — arbitrary informed sets and transmit flags on
+// uninformed vertices — under the models of exactlyOneModels.
 func TestSparseStepPreinformed(t *testing.T) {
 	r := rng.New(99)
 	for trial := 0; trial < 60; trial++ {
 		g := gen.ErdosRenyi(48, 0.12, r)
-		srows := sparseRows(g)
-		spd, _ := NewNetworkRows(g, 0, srows)
-		spc, _ := NewNetworkRows(g, 0, srows)
-		sca, _ := NewNetwork(g, 0)
-		transmit := make([]bool, g.N())
-		for v := 1; v < g.N(); v++ {
-			if r.Bernoulli(0.4) {
-				spd.Informed[v] = true
-				spc.Informed[v] = true
-				sca.Informed[v] = true
-				spd.InformedCount++
-				spc.InformedCount++
-				sca.InformedCount++
-			}
+		for _, m := range exactlyOneModels() {
+			preinformedLockstep(t, r, g, m, 3)
 		}
-		for v := range transmit {
-			transmit[v] = r.Bernoulli(0.5)
-		}
-		huge := 1 << 30
-		ns := sca.StepScalar(transmit)
-		setChunkThresholds(t, huge, huge)
-		nd := spd.Step(transmit)
-		setChunkThresholds(t, 0, 0)
-		nc := spc.Step(transmit)
-		if nd != ns || nc != ns {
-			t.Fatalf("trial %d: newly informed scalar=%d direct=%d chunked=%d", trial, ns, nd, nc)
-		}
-		compareNetworks(t, spd, sca)
-		compareNetworks(t, spc, sca)
 	}
 }
 
 // TestSparseModelsMatchDense runs every receive-rule model under MonteCarlo
-// twice — adjacency strategy forced sparse vs the default dense — and
-// requires bit-identical results. Models draw all randomness from pre-split
-// streams keyed by seed and trial index, so the strategy must be invisible.
+// twice — the default dense rows vs the CSR scatter forced — and requires
+// bit-identical results. Models draw all randomness from pre-split streams
+// keyed by seed and trial index, so the strategy must be invisible.
 func TestSparseModelsMatchDense(t *testing.T) {
 	r := rng.New(7)
 	g := gen.ErdosRenyi(64, 0.15, r)
+	if BuildAdjRows(g).rows == nil {
+		t.Fatal("the default strategy must build rows here, or both runs scatter")
+	}
 	models := []Model{
-		nil, // legacy unit-disk fast path
+		nil, // Options.Model unset: unit-disk, unlabelled
 		UnitDisk{},
 		&SINR{},
 		&Fading{P: 0.7},
@@ -202,9 +82,8 @@ func TestSparseModelsMatchDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			forced := base
-			forced.Mem = MemModel{DenseRowBudget: 1}
-			sparse, err := MonteCarlo(g, 0, factory, 12, forced)
+			useCSR(t)
+			sparse, err := MonteCarlo(g, 0, factory, 12, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,54 +96,69 @@ func TestSparseModelsMatchDense(t *testing.T) {
 }
 
 // TestMonteCarloSparseWorkerInvariance pins the determinism contract on
-// the sparse engine: identical results at workers 1, 2, and 8.
+// the CSR scatter: identical results at workers 1, 2, and 8.
 func TestMonteCarloSparseWorkerInvariance(t *testing.T) {
+	useCSR(t)
 	r := rng.New(3)
 	g := gen.ErdosRenyi(96, 0.1, r)
 	factory := func(r *rng.RNG) Protocol { return &Decay{R: r} }
-	var ref *Result
-	for _, workers := range []int{1, 2, 8} {
-		res, err := MonteCarlo(g, 0, factory, 24, Options{
-			RunOpts:   runopts.RunOpts{Seed: 5, Workers: workers},
-			MaxRounds: 200,
-			Model:     &Fading{P: 0.8},
-			Mem:       MemModel{DenseRowBudget: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if !reflect.DeepEqual(ref, res) {
-			t.Fatalf("workers=%d diverged from workers=1", workers)
+	for _, m := range []Model{&Fading{P: 0.8}, &Jam{Budget: 1}} {
+		var ref *Result
+		for _, workers := range []int{1, 2, 8} {
+			res, err := MonteCarlo(g, 0, factory, 24, Options{
+				RunOpts:   runopts.RunOpts{Seed: 5, Workers: workers},
+				MaxRounds: 200,
+				Model:     m,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			if !reflect.DeepEqual(ref, res) {
+				t.Fatalf("%s: workers=%d diverged from workers=1", m.Name(), workers)
+			}
 		}
 	}
 }
 
-// TestAdjRowsStrategySelection pins the memory model's selection rule:
-// dense iff n · ⌈n/64⌉ · 8 bytes fit the budget.
+// TestAdjRowsStrategySelection pins the strategy decision: rows iff they
+// fit denseRowBudget and at least half of the arcs lie in rows of degree
+// ≥ ⌈n/64⌉, decided before any row is allocated.
 func TestAdjRowsStrategySelection(t *testing.T) {
-	g := gen.Cycle(100) // words = 2 → dense rows cost exactly 1600 bytes
-	cost := int64(100 * 2 * 8)
-	if rows := BuildAdjRowsMem(g, MemModel{DenseRowBudget: cost}); rows.kind != rowsDense || rows.rows == nil {
-		t.Fatalf("budget == cost must stay dense, got %s", rows.Strategy())
+	// n = 128 has 2-word rows: a 10-vertex path puts 16 arcs in rows of
+	// degree 2 (dense) and 2 in rows of degree 1; each extra matching edge
+	// adds 2 arcs in degree-1 rows. With 7 matching edges exactly half of
+	// the 2m = 32 arcs are dense; the 8th tips the balance.
+	pathPlusMatching := func(k int) *graph.Graph {
+		b := graph.NewBuilder(128)
+		for v := 0; v+1 < 10; v++ {
+			b.MustAddEdge(v, v+1)
+		}
+		for i := 0; i < k; i++ {
+			b.MustAddEdge(10+2*i, 11+2*i)
+		}
+		return b.Build()
 	}
-	if rows := BuildAdjRowsMem(g, MemModel{DenseRowBudget: cost - 1}); rows.kind != rowsSparse || rows.rows != nil {
-		t.Fatalf("budget < cost must go sparse, got %s", rows.Strategy())
+	if rows := BuildAdjRows(pathPlusMatching(7)); rows.rows == nil {
+		t.Fatal("half the arcs in dense rows must build rows")
 	}
-	// The default budget keeps every small graph on the dense strategy the
-	// legacy engine used (the vector heuristic is unchanged).
-	if rows := BuildAdjRows(g); rows.kind != rowsDense {
-		t.Fatalf("default budget on n=100 must be dense, got %s", rows.Strategy())
+	if rows := BuildAdjRows(pathPlusMatching(8)); rows.rows != nil {
+		t.Fatal("under half the arcs in dense rows must build none")
 	}
-	// A million-vertex CSR must select sparse under the default model
-	// without materializing anything quadratic; constructing the strategy
-	// for it is O(1).
+	// Past the budget no rows are built whatever the arc mass (an
+	// edgeless graph passes the arc-mass rule trivially), and deciding
+	// costs nothing quadratic.
 	big := hugeEmptyGraph(1 << 20)
-	if rows := BuildAdjRows(big); rows.kind != rowsSparse || rows.rows != nil {
-		t.Fatalf("n=2^20 must be sparse by default, got %s", rows.Strategy())
+	if rows := BuildAdjRows(big); rows.rows != nil {
+		t.Fatal("n=2^20 must build no rows")
+	}
+	// The test override keeps rows off on a graph that would get them.
+	useCSR(t)
+	if rows := BuildAdjRows(pathPlusMatching(7)); rows.rows != nil {
+		t.Fatal("forceCSR must build no rows")
 	}
 }
 
@@ -286,7 +180,6 @@ func TestMonteCarloArenaReuse(t *testing.T) {
 		RunOpts:     runopts.RunOpts{Seed: 9, Workers: 1},
 		MaxRounds:   4,
 		TraceRounds: -1,
-		Mem:         MemModel{DenseRowBudget: 1},
 	}
 	// Warm up once so lazily built scratch does not count.
 	if _, err := MonteCarlo(g, 0, factory, 2, opts); err != nil {

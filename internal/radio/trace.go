@@ -29,9 +29,7 @@ func RunTraced(g *graph.Graph, source int, p Protocol, maxRounds int) (RunResult
 	}
 	transmit := make([]bool, g.N())
 	for n.Round < maxRounds && !n.Done() {
-		for i := range transmit {
-			transmit[i] = false
-		}
+		clear(transmit)
 		prevColl, prevTx := n.Collisions, n.Transmissions
 		p.Transmitters(n, transmit)
 		newly := n.Step(transmit)
@@ -40,14 +38,7 @@ func RunTraced(g *graph.Graph, source int, p Protocol, maxRounds int) (RunResult
 		tr.Collisions = append(tr.Collisions, n.Collisions-prevColl)
 		tr.Transmissions = append(tr.Transmissions, n.Transmissions-prevTx)
 	}
-	return RunResult{
-		Protocol:      p.Name(),
-		Rounds:        n.Round,
-		Completed:     n.Done(),
-		InformedCount: n.InformedCount,
-		Collisions:    n.Collisions,
-		Transmissions: n.Transmissions,
-	}, tr, nil
+	return n.summary(p), tr, nil
 }
 
 // RoundsToReach returns the first round index at which the informed count
